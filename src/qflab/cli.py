@@ -201,8 +201,8 @@ def _run_expansion(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
     a = _floats(cfg.params, "a", [0.0] * form.dim)
     scheme = smooth_mod.build_scheme(float(cfg.params.get("R", 12)),
                                      float(cfg.params.get("r", 3)),
-                                     int(cfg.params.get("k", 6)))
-    p = int(cfg.params.get("p", 4))
+                                     int(cfg.params.get("k", 8)))
+    p = int(cfg.params.get("p", 3))
     samples = int(cfg.params.get("samples", 10 ** 6))
     rep = smooth_mod.expansion_residual(
         form, a, _floats(cfg.params, "s_grid"), scheme, p,

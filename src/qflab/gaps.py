@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
-from .lattice import (MERGE_RTOL, ValueSpectrum, diagonal_value_dp,
-                      dp_window_values, ellipsoid_candidates, enumerate_values,
-                      _quad_values, _rational_shift)
+from .lattice import (MERGE_RTOL, ValueSpectrum, dp_for_form, dp_window_values,
+                      ellipsoid_candidates, enumerate_values, quad_values)
 
 
 @dataclass(frozen=True)
@@ -36,21 +35,14 @@ def _window_values_positive(form: QuadraticForm, a: np.ndarray, lo: float,
                             hi: float, budget: int) -> tuple[np.ndarray, float]:
     """All distinct values of Q[x-a] in [lo, hi], complete by the box bound
     |x_j - a_j| <= sqrt(hi / q_j) (diagonal) or |x - a| <= sqrt(hi/q0)."""
-    shift = _rational_shift(a) if (form.is_exact and form.is_diagonal) else None
-    if shift is not None:
-        diag = form.exact_diagonal()
-        m_ranges = []
-        for j, q in enumerate(diag):
-            rad = math.sqrt(hi / float(q)) * (1 + 1e-12) + 1e-9
-            aj = float(shift[j])
-            m_ranges.append((math.ceil(aj - rad), math.floor(aj + rad)))
-        dp = diagonal_value_dp(diag, shift, m_ranges, cap=hi, budget=budget)
+    dp = dp_for_form(form, a, hi, budget)
+    if dp is not None:
         pairs = dp_window_values(dp, (lo - 1.0, hi))
         vals = np.array([v for v, _ in pairs])
-        radius = max(abs(b) for rng in m_ranges for b in rng)
+        radius = max(abs(b) for rng in dp.m_ranges for b in rng)
         return vals, float(radius)
     X, _ = ellipsoid_candidates(form.matrix, a, hi, budget)
-    vals = _quad_values(form.matrix, a, X)
+    vals = quad_values(form.matrix, a, X)
     vals = np.unique(vals[vals <= hi])
     radius = math.sqrt(hi / form.q0) + float(np.max(np.abs(a), initial=0.0)) + 1.0
     return vals, radius
@@ -144,7 +136,7 @@ def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
                 f"box of {n_box} points exceeds budget {budget}", required=n_box)
         grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
         X = np.stack([g.ravel() for g in grids], axis=1)
-        vals = _quad_values(form.matrix, a, X)
+        vals = quad_values(form.matrix, a, X)
         mask = (vals > alpha) & (vals <= beta)
         if exclude_zero:
             mask &= np.abs(vals) > MERGE_RTOL

@@ -11,6 +11,15 @@ Two interchangeable engines:
   per-coordinate value distributions are convolved on an integer lattice of
   scaled value coordinates (one axis per surd radicand), which stays exact for
   arbitrary surd diagonals and scales to d = 9 boxes far beyond enumeration.
+
+This module alone decides when the DP applies and how large its box is:
+`dp_for_form` builds it (or returns None) for every caller, counts, gaps and
+the smoothing sums alike.  A built table keeps its cell values, so
+`dp_count_le` and `dp_window_values` answer any number of queries without
+recomputing them.  `count_ellipsoid_grid` is the one counting dispatch: a
+single DP table or enumeration sized for the largest threshold answers every
+threshold, and `count_ellipsoid`, `count_shell` and the Delta(s) curve are
+built on it.
 """
 
 from __future__ import annotations
@@ -130,7 +139,7 @@ def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
     return out, visited
 
 
-def _quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
+def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     Y = X.astype(float) - a
     return np.einsum("ij,jk,ik->i", Y, mat, Y)
 
@@ -145,22 +154,30 @@ class DiagonalDP:
     basis: tuple[int, ...]      # squarefree radicands, 1 first when present
     scales: tuple[int, ...]     # value coordinate b is (index + offset)/scale_b
     offsets: tuple[int, ...]
+    m_ranges: tuple[tuple[int, int], ...]   # lattice box, per coordinate
     table: np.ndarray           # ndim == len(basis); counts or weights
+    values: np.ndarray          # float value at every cell
 
-    def cell_values(self) -> np.ndarray:
-        """Float value at every cell, via broadcast outer sums."""
-        val = np.zeros(self.table.shape)
-        for axis, (b, sc, off) in enumerate(zip(self.basis, self.scales, self.offsets)):
-            coords = (np.arange(self.table.shape[axis]) + off) * (math.sqrt(b) / sc)
-            shape = [1] * self.table.ndim
-            shape[axis] = -1
-            val = val + coords.reshape(shape)
-        return val
+    @property
+    def work(self) -> int:
+        """Cell-updates of the build, the unit its budget is charged in."""
+        return self.table.size * sum(hi - lo + 1 for lo, hi in self.m_ranges)
 
     def cell_exact(self, idx: tuple[int, ...]) -> ExactScalar:
         terms = {b: Fraction(int(i) + off, sc)
                  for b, sc, off, i in zip(self.basis, self.scales, self.offsets, idx)}
         return ExactScalar(terms=terms)
+
+
+def _cell_values(shape, basis, scales, offsets) -> np.ndarray:
+    """Float value at every cell, via broadcast outer sums."""
+    val = np.zeros(shape)
+    for axis, (b, sc, off) in enumerate(zip(basis, scales, offsets)):
+        coords = (np.arange(shape[axis]) + off) * (math.sqrt(b) / sc)
+        sh = [1] * len(shape)
+        sh[axis] = -1
+        val = val + coords.reshape(sh)
+    return val
 
 
 def _shift_add(dst: np.ndarray, src: np.ndarray, offs: Sequence[int], weight) -> None:
@@ -242,8 +259,8 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
     for rows in contribs:
         rows -= rows.min(axis=0, keepdims=True)
 
-    cap_mask = None
-    if cap is not None and nonneg:
+    pruned = cap is not None and nonneg
+    if pruned:
         # axis-trimming: coordinates whose *own* value already exceeds cap are dead
         cap_pad = cap + PRUNE_PAD_RTOL * max(1.0, abs(cap)) + 1e-9
         new_shape = []
@@ -268,25 +285,14 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
             wdtypes = [np.asarray(w).dtype for w in weights]
             dtype = object if any(dt == object for dt in wdtypes) else np.float64
 
+    values = _cell_values(shape, basis, scales, offsets)
+    cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
-    # first coordinate seeds the table directly
-    if cap is not None and nonneg:
-        cap_pad = cap + PRUNE_PAD_RTOL * max(1.0, abs(cap)) + 1e-9
-        axis_vals = [
-            (np.arange(shape[bi]) + offsets[bi]) * (math.sqrt(b) / scales[bi])
-            for bi, b in enumerate(basis)
-        ]
-        val = np.zeros(shape)
-        for axis, av in enumerate(axis_vals):
-            sh = [1] * len(shape)
-            sh[axis] = -1
-            val = val + av.reshape(sh)
-        cap_mask = val > cap_pad
-
     for j in range(d):
         rows = contribs[j]
         w = None if weights is None else np.asarray(weights[j], dtype=dtype)
         if j == 0:
+            # the first coordinate seeds the table directly
             for mi in range(rows.shape[0]):
                 idx = tuple(int(v) for v in rows[mi])
                 if all(0 <= i < n for i, n in zip(idx, shape)):
@@ -298,7 +304,9 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
             table = new
         if cap_mask is not None:
             table[cap_mask] = 0
-    return DiagonalDP(basis=basis, scales=scales, offsets=offsets, table=table)
+    return DiagonalDP(basis=basis, scales=scales, offsets=offsets,
+                      m_ranges=tuple(tuple(rng) for rng in m_ranges),
+                      table=table, values=values)
 
 
 def dp_count_le(dp: DiagonalDP, s: float):
@@ -308,11 +316,10 @@ def dp_count_le(dp: DiagonalDP, s: float):
     Returns an int for count tables and the native weight type (float or
     Fraction) for weighted tables.
     """
-    vals = dp.cell_values()
     tol = MERGE_RTOL * max(1.0, abs(s))
-    sure = vals <= s - tol
-    border = np.abs(vals - s) <= tol
-    total = np.sum(dp.table[sure], dtype=object)
+    sure = dp.values <= s - tol
+    border = np.abs(dp.values - s) <= tol
+    total = dp.table[sure].sum()
     total = total.item() if isinstance(total, np.generic) else total
     s_frac = Fraction(s)
     for idx in np.argwhere(border):
@@ -325,7 +332,7 @@ def dp_count_le(dp: DiagonalDP, s: float):
 def dp_window_values(dp: DiagonalDP, window: tuple[float, float]):
     """Sorted (value, multiplicity) pairs with value in (alpha, beta]."""
     alpha, beta = window
-    vals = dp.cell_values()
+    vals = dp.values
     tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
     mask = (dp.table != 0) & (vals > alpha - tol) & (vals <= beta + tol)
     out = []
@@ -344,20 +351,6 @@ def dp_window_values(dp: DiagonalDP, window: tuple[float, float]):
     return out
 
 
-def _dp_for_form(form: QuadraticForm, shift: Sequence[Fraction],
-                 cap: float, budget: int,
-                 m_ranges: Optional[Sequence[tuple[int, int]]] = None) -> DiagonalDP:
-    diag = form.exact_diagonal()
-    if m_ranges is None:
-        m_ranges = []
-        for j, q in enumerate(diag):
-            qf = float(q)
-            rad = math.sqrt(max(cap, 0.0) / qf) * (1 + 1e-12) + 1e-9
-            aj = float(shift[j])
-            m_ranges.append((math.ceil(aj - rad), math.floor(aj + rad)))
-    return diagonal_value_dp(diag, shift, m_ranges, cap=cap, budget=budget)
-
-
 def _rational_shift(a: np.ndarray) -> Optional[list[Fraction]]:
     out = []
     for v in a:
@@ -368,52 +361,81 @@ def _rational_shift(a: np.ndarray) -> Optional[list[Fraction]]:
     return out
 
 
-def _dp_eligible(form: QuadraticForm, a: np.ndarray):
+def dp_for_form(form: QuadraticForm, a: np.ndarray, cap: float, budget: int,
+                m_ranges: Optional[Sequence[tuple[int, int]]] = None,
+                weights: Optional[Sequence[np.ndarray]] = None
+                ) -> Optional[DiagonalDP]:
+    """The value-lattice DP of Q[x - a] over a lattice box, or None when Q is
+    not exact diagonal or a is not rational.
+
+    Without `m_ranges` the box is the smallest one holding every x with
+    Q[x - a] <= cap, which needs a positive form.  `cap` also prunes cells
+    above it (see `diagonal_value_dp`); `weights` pass through.
+    """
     if not (form.is_exact and form.is_diagonal):
         return None
-    return _rational_shift(a)
+    shift = _rational_shift(a)
+    if shift is None:
+        return None
+    diag = form.exact_diagonal()
+    if m_ranges is None:
+        m_ranges = []
+        for q, aj in zip(diag, shift):
+            rad = math.sqrt(max(cap, 0.0) / float(q)) * (1 + 1e-12) + 1e-9
+            m_ranges.append((math.ceil(float(aj) - rad), math.floor(float(aj) + rad)))
+    return diagonal_value_dp(diag, shift, m_ranges, cap=cap, weights=weights,
+                             budget=budget)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
+COUNT_METHODS = ("auto", "enumeration", "diagonal-dp")
 
-def count_ellipsoid(form: QuadraticForm, a: ShiftVector | Sequence[float],
-                    s: float, budget: int = 10 ** 8,
-                    method: str = "auto") -> CountResult:
-    """Exact cardinality of {x in Z^d : Q[x - a] <= s} for positive Q.
 
-    Shifts are first reduced modulo Z^d, which leaves the count unchanged and
-    shrinks the enumeration box.  `method` is "auto", "enumeration" or
-    "diagonal-dp"; auto picks the DP for exact diagonal forms with rational
-    shift.
+def count_ellipsoid_grid(form: QuadraticForm, a: ShiftVector | Sequence[float],
+                         s_list: Sequence[float], budget: int = 10 ** 8,
+                         method: str = "auto") -> tuple[list[int], str, int]:
+    """Exact cardinalities of {x in Z^d : Q[x - a] <= s} for every s in s_list.
+
+    One DP table or one enumeration, sized for the largest s, answers every
+    threshold.  Shifts are first reduced modulo Z^d, which leaves the counts
+    unchanged and shrinks the enumeration box.  `method` is "auto",
+    "enumeration" or "diagonal-dp"; auto picks the DP for exact diagonal forms
+    with rational shift.  Returns (counts, method used, work), the work in the
+    unit the budget is charged in: candidates or DP cell-updates.
     """
+    if method not in COUNT_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
     if not form.is_positive:
         raise ValueError("not elliptic")
     if isinstance(a, ShiftVector):
         a = a.a
-    a = np.asarray(a, dtype=float)
-    a_red, _ = ShiftVector(a).reduced()
+    a_red, _ = ShiftVector(np.asarray(a, dtype=float)).reduced()
+    cap = max(s_list)
+    if cap < 0:
+        return [0] * len(s_list), "enumeration", 0
+
+    dp = None if method == "enumeration" else dp_for_form(form, a_red, cap, budget)
+    if dp is not None:
+        return [int(dp_count_le(dp, s)) for s in s_list], "diagonal-dp", dp.work
+    if method == "diagonal-dp":
+        raise ValueError("diagonal-dp requires an exact diagonal form "
+                         "and a rational shift")
+    X, visited = ellipsoid_candidates(form.matrix, a_red, cap, budget)
+    vals = quad_values(form.matrix, a_red, X)
+    return [int(np.count_nonzero(vals <= s)) for s in s_list], "enumeration", visited
+
+
+def count_ellipsoid(form: QuadraticForm, a: ShiftVector | Sequence[float],
+                    s: float, budget: int = 10 ** 8,
+                    method: str = "auto") -> CountResult:
+    """Exact cardinality of {x in Z^d : Q[x - a] <= s} for positive Q; see
+    `count_ellipsoid_grid` for `method`."""
     t0 = time.perf_counter()
-    if s < 0:
-        return CountResult(0, s, "enumeration", 0, time.perf_counter() - t0)
-
-    shift = _dp_eligible(form, a_red)
-    use_dp = method == "diagonal-dp" or (method == "auto" and shift is not None)
-    if use_dp:
-        if shift is None:
-            raise ValueError("diagonal-dp requires an exact diagonal form "
-                             "and a rational shift")
-        dp = _dp_for_form(form, shift, s, budget)
-        count = int(dp_count_le(dp, s))
-        visited = int(dp.table.size)
-        return CountResult(count, s, "diagonal-dp", visited, time.perf_counter() - t0)
-
-    X, visited = ellipsoid_candidates(form.matrix, a_red, s, budget)
-    vals = _quad_values(form.matrix, a_red, X)
-    count = int(np.count_nonzero(vals <= s))
-    return CountResult(count, s, "enumeration", visited, time.perf_counter() - t0)
+    (count,), used, visited = count_ellipsoid_grid(form, a, [s], budget, method)
+    return CountResult(count, s, used, visited, time.perf_counter() - t0)
 
 
 def count_shell(form: QuadraticForm, a, tau: float, delta: float,
@@ -421,26 +443,11 @@ def count_shell(form: QuadraticForm, a, tau: float, delta: float,
     """Count of lattice points in (E_{tau+delta} + a) \\ (E_tau + a), in one pass."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if not form.is_positive:
-        raise ValueError("not elliptic")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    a_red, _ = ShiftVector(a).reduced()
     t0 = time.perf_counter()
     hi = tau + delta
-
-    shift = _dp_eligible(form, a_red)
-    if method == "diagonal-dp" or (method == "auto" and shift is not None):
-        dp = _dp_for_form(form, shift, hi, budget)
-        count = int(dp_count_le(dp, hi)) - int(dp_count_le(dp, tau))
-        return CountResult(count, hi, "diagonal-dp", int(dp.table.size),
-                           time.perf_counter() - t0)
-
-    X, visited = ellipsoid_candidates(form.matrix, a_red, hi, budget)
-    vals = _quad_values(form.matrix, a_red, X)
-    count = int(np.count_nonzero((vals > tau) & (vals <= hi)))
-    return CountResult(count, hi, "enumeration", visited, time.perf_counter() - t0)
+    (inner, outer), used, visited = count_ellipsoid_grid(form, a, [tau, hi],
+                                                         budget, method)
+    return CountResult(outer - inner, hi, used, visited, time.perf_counter() - t0)
 
 
 def enumerate_values(form: QuadraticForm, a, r: float,
@@ -463,21 +470,17 @@ def enumerate_values(form: QuadraticForm, a, r: float,
     half = math.floor(r)
     n_box = (2 * half + 1) ** d
 
-    shift = _dp_eligible(form, a)
-    if shift is not None and n_box > 2 * 10 ** 6:
-        m_ranges = [(-half, half)] * d
-        cap = beta if form.is_positive else None
-        dp = diagonal_value_dp(form.exact_diagonal(), shift, m_ranges,
-                               cap=cap, budget=budget)
-        pairs = dp_window_values(dp, window)
-        return _merged_spectrum(pairs, r, window, a)
+    if n_box > 2 * 10 ** 6:
+        dp = dp_for_form(form, a, beta, budget, m_ranges=[(-half, half)] * d)
+        if dp is not None:
+            return _merged_spectrum(dp_window_values(dp, window), r, window, a)
 
     if n_box > budget:
         raise BudgetExceededError(
             f"box of {n_box} points exceeds budget {budget}", required=n_box)
     grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
     X = np.stack([g.ravel() for g in grids], axis=1)
-    vals = _quad_values(form.matrix, a, X)
+    vals = quad_values(form.matrix, a, X)
     tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
     sel = vals[(vals > alpha) & (vals <= beta + tol)]
     sel.sort()

@@ -27,11 +27,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
-from .lattice import (DiagonalDP, diagonal_value_dp, dp_count_le,
-                      ellipsoid_candidates, _rational_shift)
+from .lattice import dp_count_le, dp_for_form, ellipsoid_candidates, quad_values
 from .trig import gamma_estimate
-from .util import spawn_rngs, worker_chunks
-from .volume import McEstimate
+from .volume import McEstimate, mc_mean
 
 DEFAULT_MC_SAMPLES = 10 ** 6
 
@@ -284,33 +282,29 @@ class CorrectionDensity:
             cache[o] = self.scheme.d1(X, o)
         return cache
 
-    def ratio(self, X: np.ndarray) -> np.ndarray:
-        """(D_j / D)(x) per row of X; rows must lie inside the support of D."""
-        cache = self._factor_cache(X)
+    def _ratio(self, cache: dict[int, np.ndarray]) -> np.ndarray:
         base = cache[0]
-        out = np.zeros(X.shape[0])
+        out = np.zeros(base.shape[0])
         for alpha, coeff in self.terms:
-            term = np.full(X.shape[0], coeff)
+            term = np.full(base.shape[0], coeff)
             for c, o in alpha:
                 term = term * cache[o][:, c] / base[:, c]
             out += term
         return out
 
+    def ratio(self, X: np.ndarray) -> np.ndarray:
+        """(D_j / D)(x) per row of X; rows must lie inside the support of D."""
+        return self._ratio(self._factor_cache(X))
+
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """D_j(x) per row of X."""
+        """D_j(x) per row of X; 0 outside the support of D."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cache = self._factor_cache(X)
-        base = cache[0]
-        dens = np.prod(base, axis=1)
+        dens = np.prod(cache[0], axis=1)
+        inside = dens > 0
         out = np.zeros(X.shape[0])
-        for alpha, coeff in self.terms:
-            term = np.full(X.shape[0], coeff)
-            for c, o in alpha:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    term = term * np.where(base[:, c] > 0,
-                                           cache[o][:, c] / base[:, c], 0.0)
-            out += term
-        return out * dens
+        out[inside] = self._ratio({o: v[inside] for o, v in cache.items()}) * dens[inside]
+        return out
 
 
 def density(scheme: SmoothingScheme, X: np.ndarray) -> np.ndarray:
@@ -324,50 +318,52 @@ def density(scheme: SmoothingScheme, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _f_mu_grid(form: QuadraticForm, a, s_list: Sequence[float],
+               scheme: SmoothingScheme, budget: int, exact: bool) -> list:
+    """F(s) for every s in s_list from one weighted lattice sum sized for the
+    largest s."""
+    if isinstance(a, ShiftVector):
+        a = a.a
+    a = np.asarray(a, dtype=float)
+    d = form.dim
+    Hw = scheme.half_support
+    if exact:
+        # integer numerators keep the DP in (fast) bigint arithmetic;
+        # one division by the normalizer at the end restores the Fraction
+        wcol = np.array([int(nu) for nu in scheme.numerators], dtype=object)
+    else:
+        wcol = scheme.weights
+    dp = dp_for_form(form, a, max(s_list), budget, m_ranges=[(-Hw, Hw)] * d,
+                     weights=[wcol] * d)
+    if dp is not None:
+        totals = [dp_count_le(dp, float(s)) for s in s_list]
+        if exact:
+            return [Fraction(int(t), scheme.normalizer ** d) for t in totals]
+        return [float(t) for t in totals]
+    if exact:
+        raise ValueError("exact=True needs an exact diagonal form with rational shift")
+    if not form.is_positive:
+        raise ValueError("enumeration path needs a positive form; "
+                         "use the window variant on shells instead")
+    X, _ = ellipsoid_candidates(form.matrix, a, max(s_list), budget)
+    X = X[np.all(np.abs(X) <= Hw, axis=1)]
+    vals = quad_values(form.matrix, a, X)
+    w = np.ones(X.shape[0])
+    for j in range(d):
+        w *= scheme.weights[X[:, j] + Hw]
+    return [float(np.sum(w[vals <= s])) for s in s_list]
+
+
 def f_mu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
          budget: int = 10 ** 9, exact: bool = False):
     """F(s) = mu{x : Q[x - a] <= s}: exact weighted lattice sum.
 
     Diagonal exact forms with rational shift run on the value-lattice DP
     (`exact=True` keeps Fraction weights and returns a Fraction); other forms
-    use pruned enumeration with per-point product weights.
+    use pruned enumeration with per-point float product weights, and reject
+    `exact=True`.
     """
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    d = form.dim
-    Hw = scheme.half_support
-    shift = _rational_shift(a) if (form.is_exact and form.is_diagonal) else None
-    if shift is not None:
-        m_ranges = [(-Hw, Hw)] * d
-        if exact:
-            # integer numerators keep the DP in (fast) bigint arithmetic;
-            # one division by the normalizer at the end restores the Fraction
-            wcol = np.array([int(nu) for nu in scheme.numerators], dtype=object)
-        else:
-            wcol = scheme.weights
-        cap = s if form.is_positive else None
-        dp = diagonal_value_dp(form.exact_diagonal(), shift, m_ranges,
-                               cap=cap, weights=[wcol] * d, budget=budget,
-                               dtype=object if exact else None)
-        total = dp_count_le(dp, s)
-        return (Fraction(int(total), scheme.normalizer ** d) if exact
-                else float(total))
-    if not form.is_positive:
-        raise ValueError("enumeration path needs a positive form; "
-                         "use the window variant on shells instead")
-    X, _ = ellipsoid_candidates(form.matrix, a, s, budget)
-    if X.shape[0] == 0:
-        return Fraction(0) if exact else 0.0
-    Y = X.astype(float) - a
-    vals = np.einsum("ij,jk,ik->i", Y, form.matrix, Y)
-    X = X[vals <= s]
-    inside = np.all(np.abs(X) <= Hw, axis=1)
-    X = X[inside]
-    w = np.ones(X.shape[0])
-    for j in range(d):
-        w *= scheme.weights[X[:, j] + Hw]
-    return float(np.sum(w))
+    return _f_mu_grid(form, a, [s], scheme, budget, exact)[0]
 
 
 def f_mu_window(form, a, window: tuple[float, float], scheme,
@@ -380,45 +376,26 @@ def f_mu_window(form, a, window: tuple[float, float], scheme,
 
 def f_mu_curve(form: QuadraticForm, a, s_list: Sequence[float],
                scheme: SmoothingScheme, budget: int = 10 ** 10) -> list[float]:
-    """F(s) on an s-grid, one shared DP table (diagonal exact forms only)."""
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    shift = _rational_shift(a) if (form.is_exact and form.is_diagonal) else None
-    if shift is None:
-        return [f_mu(form, a, s, scheme, budget=budget) for s in s_list]
-    d = form.dim
-    Hw = scheme.half_support
-    cap = max(s_list) if form.is_positive else None
-    dp = diagonal_value_dp(form.exact_diagonal(), shift, [(-Hw, Hw)] * d,
-                           cap=cap, weights=[scheme.weights] * d,
-                           budget=budget)
-    return [float(dp_count_le(dp, float(s))) for s in s_list]
+    """F(s) on an s-grid from one shared DP table or enumeration."""
+    return _f_mu_grid(form, a, s_list, scheme, budget, exact=False)
 
 
-def _mc_over_nu(form: QuadraticForm, a: np.ndarray, s: float,
-                scheme: SmoothingScheme, weight_fn, samples: int,
-                seed: int, workers: int) -> McEstimate:
+def _nu_sampler(form: QuadraticForm, a: np.ndarray, s: float,
+                scheme: SmoothingScheme, weight_fn):
+    """Sampler for `mc_mean`: I{Q[X - a] <= s} weight_fn(X) with X ~ nu."""
     d = form.dim
     mat = form.matrix
-    rngs = spawn_rngs(seed, workers)
-    chunks = worker_chunks(samples, workers)
-    tot = tot2 = 0.0
-    n_done = 0
-    for rng, n in zip(rngs, chunks):
+
+    def sampler(rng, n):
         X = scheme.sample(rng, n, d)
         Y = X - a
         ind = np.einsum("ij,jk,ik->i", Y, mat, Y) <= s
         vals = np.zeros(n)
         if np.any(ind):
             vals[ind] = weight_fn(X[ind])
-        tot += float(vals.sum())
-        tot2 += float((vals * vals).sum())
-        n_done += n
-    mean = tot / n_done
-    var = max(tot2 / n_done - mean * mean, 0.0)
-    return McEstimate(mean=mean, stderr=math.sqrt(var / n_done),
-                      samples=n_done, seed=seed)
+        return vals
+
+    return sampler
 
 
 def f_nu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
@@ -428,8 +405,8 @@ def f_nu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
     if isinstance(a, ShiftVector):
         a = a.a
     a = np.asarray(a, dtype=float)
-    return _mc_over_nu(form, a, s, scheme, lambda X: np.ones(X.shape[0]),
-                       samples, seed, workers)
+    return mc_mean(_nu_sampler(form, a, s, scheme, lambda X: np.ones(X.shape[0])),
+                   samples, seed, workers)
 
 
 def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
@@ -445,7 +422,8 @@ def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
         a = a.a
     a = np.asarray(a, dtype=float)
     corr = CorrectionDensity(scheme, j, form.dim)
-    return _mc_over_nu(form, a, s, scheme, corr.ratio, samples, seed, workers)
+    return mc_mean(_nu_sampler(form, a, s, scheme, corr.ratio),
+                   samples, seed, workers)
 
 
 def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],

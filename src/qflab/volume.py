@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import QuadraticForm, ShiftVector
-from .lattice import count_ellipsoid
+from .forms import QuadraticForm
+from .lattice import count_ellipsoid, count_ellipsoid_grid
 from .util import spawn_rngs, worker_chunks
 
 U_GRID_NODES = 2048
@@ -96,31 +96,16 @@ def delta_error(form: QuadraticForm, a, s: float, budget: int = 10 ** 8,
 
 def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
                 budget: int = 10 ** 9) -> list[dict]:
-    """Delta(s) on an s-grid; exact diagonal forms reuse a single DP table."""
-    from .forms import ShiftVector
-    from .lattice import _dp_eligible, _dp_for_form, dp_count_le
-
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    a_red, _ = ShiftVector(a).reduced()
+    """Delta(s) on an s-grid; one count pass, sized for the largest s, serves
+    every grid point."""
+    s_list = [float(s) for s in s_list]
+    counts, _, _ = count_ellipsoid_grid(form, a, s_list, budget=budget)
     rows = []
-    shift = _dp_eligible(form, a_red)
-    if shift is not None:
-        dp = _dp_for_form(form, shift, max(s_list), budget)
-        for s in s_list:
-            cnt = int(dp_count_le(dp, float(s)))
-            vol = ellipsoid_volume(form, float(s))
-            delta = abs(cnt - vol) / vol
-            rows.append({"s": float(s), "count": cnt, "volume": vol,
-                         "delta": delta, "s_delta": float(s) * delta})
-        return rows
-    for s in s_list:
-        cnt = count_ellipsoid(form, a_red, float(s), budget=budget).count
-        vol = ellipsoid_volume(form, float(s))
+    for s, cnt in zip(s_list, counts):
+        vol = ellipsoid_volume(form, s)
         delta = abs(cnt - vol) / vol
-        rows.append({"s": float(s), "count": cnt, "volume": vol,
-                     "delta": delta, "s_delta": float(s) * delta})
+        rows.append({"s": s, "count": cnt, "volume": vol,
+                     "delta": delta, "s_delta": s * delta})
     return rows
 
 
@@ -129,7 +114,7 @@ def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def _mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
+def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
     """Mean/stderr of a sampler(rng, n) -> 1d array, split over worker substreams."""
     rngs = spawn_rngs(seed, workers)
     chunks = worker_chunks(n_samples, workers)
@@ -177,7 +162,7 @@ def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,
                & (q > alpha) & (q <= beta))
         return ind.astype(float) * box_vol
 
-    return _mc_mean(sampler, samples, seed, workers)
+    return mc_mean(sampler, samples, seed, workers)
 
 
 def _arranged_eigen(form: QuadraticForm, I: tuple[float, float]):
@@ -258,7 +243,7 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
             out[k:k + chunk] = ind @ (trap_w * upow)
         return out * area * prefactor
 
-    return _mc_mean(sampler, samples, seed, workers)
+    return mc_mean(sampler, samples, seed, workers)
 
 
 def check_lemma82(form: QuadraticForm, a, R: float, lam: float,
@@ -318,4 +303,4 @@ def mc_ellipsoid_volume(form: QuadraticForm, s: float, samples: int = 10 ** 5,
         vals = np.einsum("ij,jk,ik->i", x, mat, x)
         return (vals <= s).astype(float) * box_vol
 
-    return _mc_mean(sampler, samples, seed, workers)
+    return mc_mean(sampler, samples, seed, workers)

@@ -166,11 +166,13 @@ FORM_SURD9 = "kind: exact\n" + "\n".join(
     for i in range(9) for j in range(9) for k in [i])
 
 
-def test_expansion_experiment(tmp_path, capsys):
+@pytest.mark.parametrize("k_p", [["-p", "k=6", "-p", "p=2"], []],
+                         ids=["k6-p2", "default-k-p"])
+def test_expansion_experiment(tmp_path, capsys, k_p):
     p = tmp_path / "surd9.form"
     p.write_text(FORM_SURD9)
     rc = main(["expansion", "--form", str(p), "-p", "s_grid=400,800",
-               "-p", "R=6", "-p", "r=1", "-p", "k=6", "-p", "p=2",
+               "-p", "R=6", "-p", "r=1", *k_p,
                "-p", "samples=20000", "-p", "T=2"])
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)

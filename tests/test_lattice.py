@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_count, brute_values
+from conftest import brute_count, brute_points, brute_values
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
-from qflab.lattice import count_ellipsoid, count_shell, enumerate_values
+from qflab.lattice import (count_ellipsoid, count_shell, dp_for_form,
+                           dp_window_values, enumerate_values)
 from qflab.scalars import ExactScalar
-from qflab.volume import ellipsoid_volume
+from qflab.volume import delta_curve, ellipsoid_volume
 
 
 def test_count_examples(identity2):
@@ -70,11 +71,17 @@ def test_dp_agrees_with_enumeration_random():
         form = diagonal_form(diag)
         s = float(rng.uniform(2, 200 / d))
         a = [Fraction(int(rng.integers(0, 4)), 4) for _ in range(d)]
-        c_dp = count_ellipsoid(form, [float(x) for x in a], s,
-                               method="diagonal-dp").count
-        c_en = count_ellipsoid(form, [float(x) for x in a], s,
-                               method="enumeration", budget=10 ** 8).count
+        x = [float(v) for v in a]
+        c_dp = count_ellipsoid(form, x, s, method="diagonal-dp").count
+        c_en = count_ellipsoid(form, x, s, method="enumeration", budget=10 ** 8).count
         assert c_dp == c_en
+        assert (count_shell(form, x, s / 3, s / 2, method="diagonal-dp").count
+                == count_shell(form, x, s / 3, s / 2, method="enumeration").count)
+        grid = [s / 4, s / 2, s]
+        curve = delta_curve(form, x, grid)
+        assert all(row["s"] == t for row, t in zip(curve, grid))
+        assert [row["count"] for row in curve] == [
+            count_ellipsoid(form, x, t, method="enumeration").count for t in grid]
 
 
 def test_dp_exact_boundary_ties():
@@ -86,6 +93,56 @@ def test_dp_exact_boundary_ties():
     c_below = count_ellipsoid(surd, [0, 0], float(1 + math.sqrt(2)) * (1 - 1e-12)).count
     c_at = count_ellipsoid(surd, [0, 0], float(1 + math.sqrt(2)) * (1 + 1e-12)).count
     assert c_at - c_below == 4  # (+-1, +-1)
+
+
+def test_dp_window_values_match_bruteforce():
+    sqrt2 = ExactScalar.sqrt(2)
+    cases = [
+        # integer values: both window ends are attained exactly
+        ([ExactScalar(1), ExactScalar(-1)], [0.0, 0.0], 6, (-5.0, 5.0)),
+        ([ExactScalar(1), -sqrt2, ExactScalar(Fraction(1, 2))], [0.5, 0.25, 0.0],
+         5, (-7.0, 9.0)),
+        ([ExactScalar(1), sqrt2, ExactScalar(3)], [0.25, 0.0, 0.5], 4, (2.0, 30.0)),
+    ]
+    for diag, a, r, window in cases:
+        form = diagonal_form(diag)
+        dp = dp_for_form(form, np.asarray(a), window[1], 10 ** 8,
+                         m_ranges=[(-r, r)] * form.dim)
+        pairs = dp_window_values(dp, window)
+        vals = np.array([v for v, _ in pairs])
+        expect = brute_values(form.matrix, a, r, window)
+        assert len(vals) == len(expect)
+        assert np.allclose(vals, expect, rtol=0, atol=1e-9)
+        Y = brute_points(r, form.dim) - np.asarray(a)
+        qv = np.einsum("ij,jk,ik->i", Y, form.matrix, Y)
+        in_window = np.count_nonzero((qv > window[0]) & (qv <= window[1]))
+        assert sum(m for _, m in pairs) == in_window
+
+
+def test_dp_for_form_eligibility(identity2):
+    assert dp_for_form(identity2, np.array([math.sqrt(2) % 1, 0.0]), 10.0,
+                       10 ** 6) is None
+    float_form = build_form(np.eye(2), normalize=False)
+    assert not float_form.is_exact
+    assert dp_for_form(float_form, np.zeros(2), 10.0, 10 ** 6) is None
+    # `work` and a DP count's `visited` are what the budget is checked against
+    dp = dp_for_form(identity2, np.zeros(2), 10.0, 10 ** 6)
+    assert dp_for_form(identity2, np.zeros(2), 10.0, dp.work).work == dp.work
+    with pytest.raises(BudgetExceededError):
+        dp_for_form(identity2, np.zeros(2), 10.0, dp.work - 1)
+    assert count_ellipsoid(identity2, [0, 0], 10.0).visited == dp.work
+
+
+def test_count_rejects_bad_method_and_ineligible_dp(identity2):
+    irrational = [math.sqrt(2) % 1, 0.0]
+    with pytest.raises(ValueError, match="unknown method"):
+        count_ellipsoid(identity2, [0, 0], 10.0, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        count_shell(identity2, [0, 0], 5.0, 5.0, method="bogus")
+    with pytest.raises(ValueError, match="rational shift"):
+        count_ellipsoid(identity2, irrational, 10.0, method="diagonal-dp")
+    with pytest.raises(ValueError, match="rational shift"):
+        count_shell(identity2, irrational, 5.0, 5.0, method="diagonal-dp")
 
 
 def test_shell_examples(identity2):

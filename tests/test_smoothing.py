@@ -139,6 +139,11 @@ def test_f_mu_enumeration_matches_dp(identity2):
         clone = build_form(identity2.matrix * 1.0)
         en_val = f_mu(clone, [0.25, 0.5], s, sch)
         assert dp_val == pytest.approx(en_val, abs=1e-12)
+    # the enumeration path sums float weights and cannot honour exact=True,
+    # with or without candidates
+    for s in (-1.0, 10.0):
+        with pytest.raises(ValueError, match="exact=True"):
+            f_mu(clone, [0.25, 0.5], s, sch, exact=True)
 
 
 def test_core_identities(identity9):
