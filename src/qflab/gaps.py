@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
-from .lattice import (MERGE_RTOL, ValueSpectrum, dp_for_form, dp_window_values,
+from .lattice import (MERGE_RTOL, dp_for_form, dp_window_values,
                       ellipsoid_candidates, enumerate_values, quad_values)
+from .util import box_blocks
 
 
 @dataclass(frozen=True)
@@ -129,25 +128,24 @@ def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
     d = form.dim
     tried = []
     for r in r_schedule:
-        half = int(r)
-        n_box = (2 * half + 1) ** d
-        if n_box > budget:
-            raise BudgetExceededError(
-                f"box of {n_box} points exceeds budget {budget}", required=n_box)
-        grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
-        X = np.stack([g.ravel() for g in grids], axis=1)
-        vals = quad_values(form.matrix, a, X)
-        mask = (vals > alpha) & (vals <= beta)
-        if exclude_zero:
-            mask &= np.abs(vals) > MERGE_RTOL
-        hits = np.flatnonzero(mask)
-        if len(hits):
-            best = hits[np.argmin(np.abs(vals[hits]))]
+        witness, value = None, math.inf
+        for X in box_blocks(math.floor(r), d, budget):
+            vals = quad_values(form.matrix, a, X)
+            mask = (vals > alpha) & (vals <= beta)
+            if exclude_zero:
+                mask &= np.abs(vals) > MERGE_RTOL
+            hits = np.flatnonzero(mask)
+            if len(hits):
+                best = hits[np.argmin(np.abs(vals[hits]))]
+                # strict: the first minimum over the whole box wins, as in argmin
+                if abs(vals[best]) < abs(value):
+                    witness, value = X[best].tolist(), float(vals[best])
+        if witness is not None:
             return {
                 "found": True,
                 "r": float(r),
-                "witness": X[best].tolist(),
-                "value": float(vals[best]),
+                "witness": witness,
+                "value": value,
                 "schedule_tried": tried + [float(r)],
             }
         tried.append(float(r))

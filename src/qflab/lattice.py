@@ -20,6 +20,9 @@ recomputing them.  `count_ellipsoid_grid` is the one counting dispatch: a
 single DP table or enumeration sized for the largest threshold answers every
 threshold, and `count_ellipsoid`, `count_shell` and the Delta(s) curve are
 built on it.
+
+Value listing over a full box B(r) that the DP does not take scans the box in
+`util.box_blocks` blocks, keeping only the windowed values of each block.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
 from .scalars import ExactScalar
+from .util import box_blocks
 
 PRUNE_PAD_RTOL = 1e-9
 MERGE_RTOL = 1e-9
@@ -475,14 +479,12 @@ def enumerate_values(form: QuadraticForm, a, r: float,
         if dp is not None:
             return _merged_spectrum(dp_window_values(dp, window), r, window, a)
 
-    if n_box > budget:
-        raise BudgetExceededError(
-            f"box of {n_box} points exceeds budget {budget}", required=n_box)
-    grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    vals = quad_values(form.matrix, a, X)
     tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
-    sel = vals[(vals > alpha) & (vals <= beta + tol)]
+    blocks = []
+    for X in box_blocks(half, d, budget):
+        vals = quad_values(form.matrix, a, X)
+        blocks.append(vals[(vals > alpha) & (vals <= beta + tol)])
+    sel = np.concatenate(blocks)
     sel.sort()
     pairs = [(float(v), 1) for v in sel]
     return _merged_spectrum(pairs, r, window, a)

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .forms import QuadraticForm
 from .trig import phi_symmetrized, phi_symmetrized_batch
-from .util import golden_max
+from .util import box_blocks, golden_max
 
 LLL_DELTA = 0.99
 
@@ -87,8 +85,16 @@ def _norm_map(form: QuadraticForm, t: float, r: float) -> tuple[np.ndarray, floa
     return G, P
 
 
+def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat.T, each row rounded the same however many rows come along:
+    numpy hands a single row to BLAS gemv, which rounds unlike gemm."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ mat.T)[:1]
+    return rows @ mat.T
+
+
 def _sup_norms(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(Y @ G.T), axis=1)
+    return np.max(np.abs(_row_products(Y, G)), axis=1)
 
 
 def successive_minima(form: QuadraticForm, t: float, r: float,
@@ -129,7 +135,7 @@ def successive_minima(form: QuadraticForm, t: float, r: float,
     bound = min(red_minima[-1], P) * (1 + 1e-9)
     basis = _MinBasis(n)
     # seeding with the reduced basis makes the running maximum tight early,
-    # so later chunks filter almost everything out before the rank tests
+    # so later blocks filter almost everything out before the rank tests
     for y, fv in zip(red_vectors, red_minima):
         basis.offer(np.asarray(y, dtype=np.int64), float(fv))
     for j in range(d):
@@ -138,19 +144,10 @@ def successive_minima(form: QuadraticForm, t: float, r: float,
         basis.offer(e, float(_sup_norms(G, e[None, :])[0]))
 
     x_half = int(math.floor(P * bound + 1e-9))
-    n_x = (2 * x_half + 1) ** d
-    if n_x > budget:
-        raise BudgetExceededError(
-            f"exact enumeration needs {n_x} points", required=n_x)
     slack = bound / P + 1e-12
-    axes = [np.arange(-x_half, x_half + 1)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    X_all = np.stack([g.ravel() for g in grids], axis=1)
-    X_all = X_all[np.argsort(np.max(np.abs(X_all), axis=1), kind="stable")]
-    chunk = 1 << 16
-    for start in range(0, X_all.shape[0], chunk):
-        X = X_all[start:start + chunk]
-        Z = t * (X @ form.matrix.T)
+    # the minima are a unique multiset, so the block order does not matter
+    for X in box_blocks(x_half, d, budget):
+        Z = t * _row_products(X, form.matrix)
         lo = np.ceil(Z - slack - 1e-12).astype(np.int64)
         hi = np.floor(Z + slack + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
@@ -222,16 +219,14 @@ def count_H(form: QuadraticForm, t: float, r: float,
             budget: int = 10 ** 8) -> int:
     """Cardinality of {x in B(4r) cap Z^d : ||(tQx)_j|| < 1/(4r) for all j},
     the nearest integer taken per coordinate."""
-    d = form.dim
-    half = int(4 * r)
-    total = (2 * half + 1) ** d
-    if total > budget:
-        raise BudgetExceededError(f"H-count needs {total} points", required=total)
-    grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    Z = t * (X @ form.matrix.T)
-    dist = np.abs(Z - np.round(Z))
-    return int(np.count_nonzero(np.all(dist < 1.0 / (4.0 * r), axis=1)))
+    if not r > 0:
+        raise ValueError("r must be > 0")
+    count = 0
+    for X in box_blocks(int(4 * r), form.dim, budget):
+        Z = t * _row_products(X, form.matrix)
+        dist = np.abs(Z - np.round(Z))
+        count += int(np.count_nonzero(np.all(dist < 1.0 / (4.0 * r), axis=1)))
+    return count
 
 
 def dirichlet_approx(v, N: int) -> dict:

@@ -13,10 +13,6 @@ import math
 import re
 from fractions import Fraction
 
-import mpmath
-
-_CMP_DPS = 80  # decimal digits used to separate a nonzero surd combination from 0
-
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s*s*m and m squarefree, for n >= 1."""
@@ -116,13 +112,9 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "ExactScalar":
-        """Exact reciprocal via repeated conjugation, one radicand prime at a time."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero exact scalar")
-        if self.is_rational:
-            return ExactScalar(1 / self.as_fraction())
-        # pick any prime dividing any radicand and split self = A + sqrt(p) * B
+    def _split(self) -> tuple[int, "ExactScalar", "ExactScalar"]:
+        """(p, A, B) with self = A + sqrt(p) * B, p a prime dividing some
+        radicand; A and B involve only radicands free of p, and B != 0."""
         n0 = next(n for n in self.terms if n != 1)
         p = _smallest_prime_factor(n0)
         a_terms: dict[int, Fraction] = {}
@@ -132,8 +124,15 @@ class ExactScalar:
                 b_terms[n // p] = c  # c*sqrt(n) = sqrt(p) * c*sqrt(n/p)
             else:
                 a_terms[n] = c
-        A = ExactScalar(terms=a_terms)
-        B = ExactScalar(terms=b_terms)
+        return p, ExactScalar(terms=a_terms), ExactScalar(terms=b_terms)
+
+    def inverse(self) -> "ExactScalar":
+        """Exact reciprocal via repeated conjugation, one radicand prime at a time."""
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero exact scalar")
+        if self.is_rational:
+            return ExactScalar(1 / self.as_fraction())
+        p, A, B = self._split()
         # 1/(A + sqrt(p) B) = (A - sqrt(p) B) / (A^2 - p B^2); denominator drops p
         denom = A * A - ExactScalar(p) * B * B
         inv_denom = denom.inverse()
@@ -159,26 +158,23 @@ class ExactScalar:
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def _mp(self):
-        with mpmath.workdps(_CMP_DPS):
-            return mpmath.fsum(
-                mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(n)
-                for n, c in self.terms.items()
-            )
-
     def sign(self) -> int:
-        """Exact sign; canonical zero is decided symbolically, the rest numerically.
+        """Exact sign, decided symbolically one radicand prime at a time.
 
-        80 working digits separate any nonzero combination arising from
-        desk-scale inputs from zero by a huge margin.
+        With self = A + sqrt(p) B and B != 0: if A = 0 or A and B share a
+        sign, that is the sign; otherwise the larger of A^2 and p B^2 wins,
+        and A^2 - p B^2 != 0 because sqrt(p) is not in the field of A and B.
         """
         if self.is_zero:
             return 0
         if self.is_rational:
             f = self.as_fraction()
             return 1 if f > 0 else -1
-        v = self._mp()
-        return 1 if v > 0 else -1
+        p, A, B = self._split()
+        sa, sb = A.sign(), B.sign()
+        if sa in (0, sb):
+            return sb
+        return sa * (A * A - ExactScalar(p) * B * B).sign()
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0

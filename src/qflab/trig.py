@@ -9,16 +9,15 @@ identities carry all the heavy evaluations here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .forms import QuadraticForm
-from .util import golden_max, spawn_rngs, worker_chunks
+from .lattice import quad_values
+from .util import golden_max, spawn_rngs, weighted_box_sum, worker_chunks
 
 DEFAULT_T_NODES = 2 ** 16
 TOP_CANDIDATES = 8
@@ -109,30 +108,12 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
     if mode == "factorized":
         return _phi_factorized(_diag_entries(form), a, t, table)
     if mode == "direct":
-        total = (6 * n + 1) ** d
-        if total > budget:
-            raise BudgetExceededError(
-                f"direct phi needs {total} points, budget {budget}",
-                required=total)
-        return _weighted_modulus_direct(form.matrix, a, t, table)
+        return abs(weighted_box_sum(
+            table.weights, d,
+            lambda X: np.exp(1j * t * quad_values(form.matrix, a, X)), budget))
     if mode == "mc":
         return _phi_mc(form.matrix, a, t, table, samples, seed, workers)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _weighted_modulus_direct(mat: np.ndarray, a: np.ndarray, t: float,
-                             table: WeightTable) -> float:
-    d = mat.shape[0]
-    offs = table.offsets
-    grids = np.meshgrid(*([offs] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    w = table.weights
-    wprod = np.ones(X.shape[0])
-    for j in range(d):
-        wprod *= w[(X[:, j] + table.half_support).astype(int)]
-    Y = X - a
-    vals = np.einsum("ij,jk,ik->i", Y, mat, Y)
-    return abs(np.sum(wprod * np.exp(1j * t * vals)))
 
 
 def _phi_mc(mat, a, t, table: WeightTable, samples, seed, workers):
@@ -171,26 +152,18 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
     table = convolve_weights(n, 2 * k + 1)
     if mode == "auto":
         mode = "factorized" if form.is_diagonal else "direct"
-    m = table.offsets.astype(float)
     if mode == "factorized":
+        m = table.offsets.astype(float)
         qdiag = _diag_entries(form)
         out = 1.0
         for qj, aj in zip(qdiag, a):
             z = np.exp(1j * t * (qj * m * m + aj * m))
             out *= abs(np.dot(table.weights, z))
         return out
-    d = form.dim
-    total = len(m) ** d
-    if total > budget:
-        raise BudgetExceededError(f"direct f needs {total} points", required=total)
-    grids = np.meshgrid(*([m] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    w = table.weights
-    wprod = np.ones(X.shape[0])
-    for j in range(d):
-        wprod *= w[(X[:, j] + table.half_support).astype(int)]
-    vals = np.einsum("ij,jk,ik->i", X, form.matrix, X) + X @ a
-    return abs(np.sum(wprod * np.exp(1j * t * vals)))
+    return abs(weighted_box_sum(
+        table.weights, form.dim,
+        lambda X: np.exp(1j * t * (quad_values(form.matrix, 0.0, X) + X @ a)),
+        budget))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +223,9 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
     """
     n = int(r)
     tri = convolve_weights(n, 2)          # symmetrization of the uniform weight
-    u = tri.offsets.astype(np.longdouble)
-    wu = tri.weights.astype(np.longdouble)
     if form.is_diagonal:
+        u = tri.offsets.astype(np.longdouble)
+        wu = tri.weights.astype(np.longdouble)
         qdiag = _diag_entries(form)
         out = np.longdouble(1.0)
         for qj in qdiag:
@@ -261,21 +234,15 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
                                  dtype=np.longdouble) ** (2 * k)
             out *= np.dot(wu, g)
         return float(out)
-    d = form.dim
-    total = len(u) ** d
-    if total > budget:
-        raise BudgetExceededError(
-            f"direct symmetrized phi needs {total} points", required=total)
-    grids = np.meshgrid(*([u] * d), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    wprod = np.ones(X.shape[0])
-    for j in range(d):
-        wprod *= wu[(X[:, j] + tri.half_support).astype(int)]
-    Z = X @ form.matrix.T
-    g = np.ones(X.shape[0])
-    for j in range(d):
-        g *= _dirichlet_ratio(2.0 * t * Z[:, j], n) ** (2 * k)
-    return float(np.sum(wprod * g))
+
+    def term(X):
+        Z = X.astype(np.longdouble) @ form.matrix.T
+        g = np.ones(X.shape[0])
+        for j in range(form.dim):
+            g *= _dirichlet_ratio(2.0 * t * Z[:, j], n) ** (2 * k)
+        return g
+
+    return float(weighted_box_sum(tri.weights, form.dim, term, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
-"""Small shared helpers: seeded substreams and scalar maximization."""
+"""Small shared helpers: seeded substreams, scalar maximization and the one
+lattice-box iterator.
+
+Every scan of a full box [-H, H]^d goes through `box_blocks`, which yields the
+box in fixed-size blocks: memory is O(BOX_CHUNK * d) however large the box,
+while the budget still counts box points.
+"""
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
 GOLDEN = (math.sqrt(5) - 1) / 2
+BOX_CHUNK = 1 << 18   # points per box block
 
 
 def spawn_rngs(seed: int, workers: int) -> list[np.random.Generator]:
@@ -47,3 +57,31 @@ def golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
             fd = f(d)
     x = (a + b) / 2
     return x, f(x)
+
+
+def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:
+    """The box [-half, half]^d as int64 (k, d) blocks of at most BOX_CHUNK rows.
+
+    Rows come in lexicographic order, the last coordinate varying fastest.
+    The size check happens on the call, before any block is made.
+    """
+    if half < 0:
+        raise ValueError("box half-width must be >= 0")
+    side = 2 * half + 1
+    total = side ** d
+    if total > budget:
+        raise BudgetExceededError(
+            f"box of {total} points exceeds budget {budget}", required=total)
+    shape, chunk = (side,) * d, BOX_CHUNK
+    return (np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)),
+                                      shape), axis=1) - half
+            for start in range(0, total, chunk))
+
+
+def weighted_box_sum(weights: np.ndarray, d: int,
+                     term: Callable[[np.ndarray], np.ndarray], budget: int):
+    """sum over x in [-H, H]^d of prod_j weights[x_j + H] * term(x), where
+    2H + 1 = len(weights) and `term` maps a block of points to their terms."""
+    half = (len(weights) - 1) // 2
+    return sum(np.sum(np.prod(weights[X + half], axis=1) * term(X))
+               for X in box_blocks(half, d, budget))

@@ -51,6 +51,14 @@ def test_budget_exit_code(i2_file, capsys):
     assert err["required"] == 201 ** 2
 
 
+def test_bad_radius_exits_1(i2_file, capsys):
+    rc = main(["raw-op", "--form", i2_file, "-p", "op=count-H", "-p", "t=0.5",
+               "-p", "r=0"])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "reason": "r must be > 0"}
+
+
 def test_csv_determinism(tmp_path, i2_file):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"""

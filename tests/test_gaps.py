@@ -97,3 +97,8 @@ def test_oppenheim_scan_exhaustion_on_integer_form(hyperbolic2):
     rep = oppenheim_scan(hyperbolic2, [0, 0], (0.1, 0.9), [5, 10, 20])
     assert not rep["found"]
     assert rep["schedule_tried"] == [5.0, 10.0, 20.0]
+
+
+def test_oppenheim_scan_rejects_negative_radius(hyperbolic2):
+    with pytest.raises(ValueError):
+        oppenheim_scan(hyperbolic2, [0, 0], (0.5, 1.5), [-3])

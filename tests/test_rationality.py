@@ -67,6 +67,12 @@ def test_count_h_examples():
         assert count_H(I2, t, 3.0) == count_H(I2, -t, 3.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_count_h_rejects_nonpositive_radius(r):
+    with pytest.raises(ValueError, match="r must be > 0"):
+        count_H(build_form([[1, 0], [0, 1]]), 0.5, r)
+
+
 def test_count_h_vs_minima_bound():
     rng = np.random.default_rng(3)
     ratios = []

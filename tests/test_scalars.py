@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -34,10 +36,56 @@ def test_comparisons_and_sign():
     assert s2 > Fraction(7, 5)
     assert s2 < Fraction(3, 2)
     assert (s2 - s2).sign() == 0
-    # 1 + sqrt(2) - sqrt(3) - small rational: nonzero, sign decided numerically
+    # 1 + sqrt(2) - sqrt(3): nonzero, sign decided exactly
     z = ExactScalar(1) + s2 - ExactScalar.sqrt(3)
     assert z.sign() == 1
     assert abs(ExactScalar(-3)) == ExactScalar(3)
+
+
+def _decimal_sign(x: ExactScalar) -> int:
+    """Independent oracle: evaluate the surd sum with 200 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        v = sum(Decimal(c.numerator) / Decimal(c.denominator) * Decimal(n).sqrt()
+                for n, c in x.terms.items())
+        assert abs(v) > Decimal(10) ** -150, "oracle cannot decide"
+        return 1 if v > 0 else -1
+
+
+def _decimal_approx(radicands, digits: int) -> Fraction:
+    """sum of sqrt(n) truncated to `digits` decimals (a lower bound)."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        v = sum(Decimal(n).sqrt() for n in radicands)
+        return Fraction(int(v.scaleb(digits)), 10 ** digits)
+
+
+def test_sign_matches_decimal_oracle_on_random_surds():
+    rng = random.Random(20)
+    radicands = [2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 105]
+    for _ in range(300):
+        terms = {n: Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                 for n in [1] + rng.sample(radicands, 4)}
+        x = ExactScalar(terms=terms)
+        if not x.is_zero:
+            assert x.sign() == _decimal_sign(x)
+
+
+def test_sign_exact_near_zero():
+    # convergents p/q of sqrt(2) alternate around it, |p/q - sqrt(2)| ~ q^-2
+    p, q = 1, 1
+    for i in range(30):
+        x = ExactScalar(Fraction(p, q)) - ExactScalar.sqrt(2)
+        assert x.sign() == (-1 if i % 2 == 0 else 1) == _decimal_sign(x)
+        p, q = p + 2 * q, p + q
+    # sqrt(2) + sqrt(3) - F with F its truncation, and F + 10^-digits above it
+    s = ExactScalar.sqrt(2) + ExactScalar.sqrt(3)
+    for digits in (10, 30, 60):
+        low = _decimal_approx([2, 3], digits)
+        above = low + Fraction(1, 10 ** digits)
+        assert (s - low).sign() == 1 == _decimal_sign(s - low)
+        assert (s - above).sign() == -1 == _decimal_sign(s - above)
+        assert s > low and s < above
 
 
 def test_float_value():

@@ -1,0 +1,95 @@
+"""The lattice-box iterator and the box scans built on it."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import brute_points
+from qflab import util
+from qflab.errors import BudgetExceededError
+from qflab.forms import build_form, diagonal_form
+from qflab.gaps import oppenheim_scan
+from qflab.lattice import enumerate_values
+from qflab.rationality import count_H, successive_minima
+from qflab.scalars import ExactScalar
+from qflab.trig import f_sum, phi, phi_symmetrized
+from qflab.util import box_blocks
+
+SMALL_CHUNK = 13   # prime, so blocks straddle every row of the box
+
+ND3 = build_form([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.1]],
+                 normalize=False)
+IND3 = build_form([[1.0, 0.4, 0.0], [0.4, -math.sqrt(2), 0.3],
+                   [0.0, 0.3, -math.sqrt(3)]], normalize=False)
+# integer values, so |Q| ties and the Oppenheim witness is a tie-break
+INT3 = build_form([[1, 0, 0], [0, -1, 0], [0, 0, 2]], normalize=False)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("half,d", [(0, 1), (0, 3), (1, 1), (2, 2), (3, 3), (1, 5)])
+def test_box_blocks_match_bruteforce_order(half, d, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(util, "BOX_CHUNK", chunk)
+    blocks = list(box_blocks(half, d, (2 * half + 1) ** d))
+    assert all(b.dtype == np.int64 and 0 < len(b) <= util.BOX_CHUNK
+               for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), brute_points(half, d))
+
+
+def test_box_blocks_refuse_bad_boxes():
+    with pytest.raises(BudgetExceededError) as exc:
+        box_blocks(2, 3, 124)
+    assert exc.value.required == 125
+    with pytest.raises(ValueError):
+        box_blocks(-1, 2, 10 ** 6)
+
+
+def _spectrum(s):
+    return s.values.tolist(), s.multiplicities
+
+
+BOX_SCANS = {
+    "enumerate_values": lambda: _spectrum(
+        enumerate_values(IND3, [0.1, -0.2, 0.25], 9, (-5.0, 5.0))),
+    "oppenheim_scan": lambda: [
+        oppenheim_scan(IND3, [0, 0, 0], (-0.05, 0.05), [3, 8]),
+        oppenheim_scan(INT3, [0, 0, 0], (0.5, 1.5), [4]),
+        oppenheim_scan(INT3, [0, 0, 0], (-1.5, -0.5), [4])],
+    "count_H": lambda: count_H(ND3, 0.7, 2.0),
+    "successive_minima": lambda: successive_minima(
+        build_form([[1.4986, -0.9114], [-0.9114, 4.037]], normalize=False),
+        1.15, 3.0, mode="exact").minima,
+    "phi": lambda: phi(ND3, [0.1, -0.2, 0.3], 0.3, 16, mode="direct"),
+    "f_sum": lambda: f_sum(ND3, [0.1, -0.2, 0.3], 0.3, 4, 1, mode="direct"),
+    "phi_symmetrized": lambda: phi_symmetrized(ND3, 0.3, 6),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOX_SCANS))
+def test_box_scans_do_not_depend_on_block_size(site, monkeypatch):
+    whole = BOX_SCANS[site]()
+    monkeypatch.setattr(util, "BOX_CHUNK", SMALL_CHUNK)
+    blocked = BOX_SCANS[site]()
+    if isinstance(whole, float):
+        assert blocked == pytest.approx(whole, rel=1e-12)
+    else:
+        assert blocked == whole
+
+
+@pytest.mark.parametrize("scan", ["enumerate_values", "count_H"])
+def test_box_scan_memory_is_bounded(scan):
+    """A 1.77M-point box scan stays far below what the whole box would take."""
+    diag = diagonal_form([ExactScalar(1), -ExactScalar.sqrt(2),
+                          -ExactScalar.sqrt(3)])
+    tracemalloc.start()
+    try:
+        if scan == "enumerate_values":
+            enumerate_values(diag, [0, 0, 0], 60, (-10.0, 10.0))
+        else:
+            count_H(ND3, 0.7, 15.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
