@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
 from .lattice import dp_count_le, dp_for_form, ellipsoid_candidates, quad_values
-from .trig import gamma_estimate
+from .trig import factorized_transform, gamma_estimate
 from .volume import McEstimate, mc_mean
 
 DEFAULT_MC_SAMPLES = 10 ** 6
@@ -481,14 +481,8 @@ def fhat_mu(form: QuadraticForm, a, ts: np.ndarray,
     (diagonal forms)."""
     if not form.is_diagonal:
         raise ValueError("factorized transform needs a diagonal form")
-    a = np.asarray(a, dtype=float)
-    qdiag = np.diagonal(form.matrix)
-    m = scheme.offsets.astype(float)
-    out = np.ones(len(ts), dtype=complex)
-    for qj, aj in zip(qdiag, a):
-        phase = np.outer(ts * qj, (m - aj) ** 2)
-        out *= np.exp(1j * phase) @ scheme.weights
-    return out
+    return factorized_transform(np.diagonal(form.matrix), a, ts, scheme.offsets,
+                                scheme.weights)
 
 
 def _mu_mean_value(form: QuadraticForm, a: np.ndarray,

@@ -4,7 +4,19 @@ The triple sum over a box collapses to a single weighted sum by per-coordinate
 self-convolution of the uniform box weight; for diagonal forms the phase then
 splits per coordinate, the modulus of the product is the product of moduli,
 and the shift supremum reduces to one period per coordinate.  Those two
-identities carry all the heavy evaluations here.
+identities carry all the heavy evaluations here, in two engines:
+
+* `factorized_transform`, the complex product over distinct (q_j, a_j) pairs,
+  serves every fixed-shift path: phi, its batches and profiles, f_sum and
+  the smoothing transform F-hat.
+* `_ShiftSup` serves the shift supremum (sup_phi_profile, gamma_estimate).
+  The +-m terms fold into c_m cos(2 pi alpha m) e^{i t q m^2} over m >= 0, so
+  half the shift grid and a real cosine matrix suffice.  On the uniform
+  t-grid each block of nodes multiplies a seed phasor e^{i q m^2 t_b}, taken
+  with an exact exp at the block start, by fixed step phasors; there is no
+  running recurrence.  Refinement runs the top t-candidates as the lanes of
+  one golden search, and each of its objective calls runs every
+  (coordinate, t) shift search as the lanes of another.
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ from .util import golden_max, spawn_rngs, weighted_box_sum, worker_chunks
 
 DEFAULT_T_NODES = 2 ** 16
 TOP_CANDIDATES = 8
+TRANSFORM_CHUNK = 2 ** 20   # (t, m) phase entries per chunk of the transform
+SUP_BLOCK = 2 ** 15         # (alpha, t) cells per block of the sup grid
 
 
 @dataclass(frozen=True)
@@ -63,25 +77,31 @@ def _diag_entries(form: QuadraticForm) -> np.ndarray:
     return np.diagonal(form.matrix).copy()
 
 
-def _phi_factorized(qdiag: np.ndarray, a: np.ndarray, t: float,
-                    table: WeightTable) -> float:
-    m = table.offsets.astype(float)
-    out = 1.0
-    for qj, aj in zip(qdiag, a):
-        z = np.exp(1j * t * qj * (m - aj) ** 2)
-        out *= abs(np.dot(table.weights, z))
+def factorized_transform(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
+                         offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """prod_j sum_m weights[m] e^{i t q_j (m - a_j)^2} on an array of t values.
+
+    Each distinct (q_j, a_j) pair is summed once and raised to its
+    multiplicity; t is processed in chunks of TRANSFORM_CHUNK phase entries.
+    """
+    pairs, mult = np.unique(np.column_stack([qdiag, np.asarray(a, dtype=float)]),
+                            axis=0, return_counts=True)
+    m = np.asarray(offsets, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    out = np.ones(len(ts), dtype=complex)
+    chunk = max(1, TRANSFORM_CHUNK // len(m))
+    for start in range(0, len(ts), chunk):
+        tt = ts[start:start + chunk]
+        for (qj, aj), k in zip(pairs, mult):
+            z = np.exp(1j * np.outer(tt * qj, (m - aj) ** 2)) @ weights
+            out[start:start + chunk] *= z ** k
     return out
 
 
 def phi_factorized_batch(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
                          table: WeightTable) -> np.ndarray:
     """phi_a(t; s) on an array of t values, diagonal forms only."""
-    m = table.offsets.astype(float)
-    out = np.ones(len(ts))
-    for qj, aj in zip(qdiag, a):
-        phase = np.outer(ts * qj, (m - aj) ** 2)
-        out *= np.abs(np.exp(1j * phase) @ table.weights)
-    return out
+    return np.abs(factorized_transform(qdiag, a, ts, table.offsets, table.weights))
 
 
 def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
@@ -106,7 +126,7 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
         else:
             mode = "mc"
     if mode == "factorized":
-        return _phi_factorized(_diag_entries(form), a, t, table)
+        return float(phi_factorized_batch(_diag_entries(form), a, [t], table)[0])
     if mode == "direct":
         return abs(weighted_box_sum(
             table.weights, d,
@@ -153,17 +173,17 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
     if mode == "auto":
         mode = "factorized" if form.is_diagonal else "direct"
     if mode == "factorized":
-        m = table.offsets.astype(float)
+        # t (q m^2 + a m) = t q (m + a / 2q)^2 - t a^2 / 4q: a shift whose
+        # constant phase drops out of the modulus
         qdiag = _diag_entries(form)
-        out = 1.0
-        for qj, aj in zip(qdiag, a):
-            z = np.exp(1j * t * (qj * m * m + aj * m))
-            out *= abs(np.dot(table.weights, z))
-        return out
-    return abs(weighted_box_sum(
-        table.weights, form.dim,
-        lambda X: np.exp(1j * t * (quad_values(form.matrix, 0.0, X) + X @ a)),
-        budget))
+        return float(abs(factorized_transform(qdiag, -a / (2.0 * qdiag), [t],
+                                              table.offsets, table.weights)[0]))
+    if mode == "direct":
+        return abs(weighted_box_sum(
+            table.weights, form.dim,
+            lambda X: np.exp(1j * t * (quad_values(form.matrix, 0.0, X) + X @ a)),
+            budget))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +282,24 @@ class TrigProfile:
     form_desc: str = ""
 
 
-def default_t_grid(s: float, T: float, t_res: Optional[float] = None) -> np.ndarray:
+def _grid_spec(s: float, T: float,
+               t_res: Optional[float]) -> tuple[float, float, int, bool]:
+    """(t0, step, uniform nodes, whether T is appended) of the default t-grid."""
     t0 = 1.0 / math.sqrt(s)
     if T < t0:
         raise ValueError("need T >= s^(-1/2)")
     if t_res is None:
         t_res = min(1.0 / (4.0 * s), (T - t0) / DEFAULT_T_NODES)
     if t_res <= 0:
-        return np.array([t0])
+        return t0, 0.0, 1, False
     npts = int(math.floor((T - t0) / t_res)) + 1
-    grid = t0 + t_res * np.arange(npts)
-    if grid[-1] < T - 1e-15:
-        grid = np.append(grid, T)
-    return grid
+    return t0, t_res, npts, t0 + t_res * (npts - 1) < T - 1e-15
+
+
+def default_t_grid(s: float, T: float, t_res: Optional[float] = None) -> np.ndarray:
+    t0, step, npts, tail = _grid_spec(s, T, t_res)
+    grid = t0 + step * np.arange(npts)
+    return np.append(grid, T) if tail else grid
 
 
 def phi_profile(form: QuadraticForm, a, s: float, T: float,
@@ -290,43 +315,97 @@ def phi_profile(form: QuadraticForm, a, s: float, T: float,
                        form_desc=repr(form))
 
 
-def _sup_factor_coordinate(qj: float, ts: np.ndarray, table: WeightTable,
-                           a_res: int) -> np.ndarray:
-    """sup over the shift coordinate of |sum_m w(m) e{i t q (m-a)^2}| per t.
+def _check_sup_args(a_res: int, top_k: int = 1) -> None:
+    if a_res < 1:
+        raise ValueError("a_res must be >= 1")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
 
-    In the modulus the a^2 phase cancels, leaving frequencies -2 t q m; the
-    factor is periodic in a with period pi/(t q), so a equals alpha * period
-    with alpha on a unit grid, which makes the phase matrix independent of t.
+
+@dataclass(frozen=True)
+class _ShiftSup:
+    """sup_a phi_a(t; s) of a diagonal form, folded over +-m.
+
+    Per coordinate, with the shift a = alpha * pi / (t q),
+    |sum_m w_m e^{i t q (m - a)^2}| = |sum_{m >= 0} c_m cos(2 pi alpha m) e^{i t q m^2}|
+    where c_0 = w_0 and c_m = 2 w_m: the a^2 phase cancels in the modulus and
+    the weights are even.  The grid rows alpha = k / a_res and 1 - k / a_res
+    coincide, so only k <= a_res / 2 are kept.  Equal diagonal entries are
+    evaluated once and raised to their multiplicity.
     """
-    m = table.offsets.astype(float)
-    alphas = np.arange(a_res) / a_res
-    F = np.exp(-2j * math.pi * np.outer(alphas, m))          # (A, M)
-    out = np.empty(len(ts))
-    chunk = max(1, (2 ** 22) // (len(m) * a_res))
-    for k in range(0, len(ts), chunk):
-        tt = ts[k:k + chunk]
-        V = table.weights[:, None] * np.exp(1j * np.outer(m * m, tt * qj))
-        out[k:k + chunk] = np.max(np.abs(F @ V), axis=0)
-    return out
 
+    q: np.ndarray         # distinct diagonal entries
+    mult: np.ndarray      # their multiplicities
+    coord: np.ndarray     # index into q of each coordinate
+    a_res: int
+    m: np.ndarray         # 0..H
+    c: np.ndarray         # folded weights
+    cos: np.ndarray       # (a_res // 2 + 1, H + 1) grid rows cos(2 pi alpha_k m)
 
-def _sup_factor_scalar(qj: float, t: float, table: WeightTable,
-                       a_res: int, rounds: int = 2) -> tuple[float, float]:
-    """Refined sup over one shift coordinate at scalar t; returns (a*, value)."""
-    m = table.offsets.astype(float)
-    base = table.weights * np.exp(1j * t * qj * m * m)
+    @classmethod
+    def build(cls, form: QuadraticForm, s: float, a_res: int) -> "_ShiftSup":
+        q, coord, mult = np.unique(_diag_entries(form), return_inverse=True,
+                                   return_counts=True)
+        table = convolve_weights(int(math.isqrt(int(s))), 3)
+        H = table.half_support
+        m = np.arange(H + 1, dtype=float)
+        c = 2.0 * table.weights[H:]
+        c[0] = table.weights[H]
+        alphas = np.arange(a_res // 2 + 1) / a_res
+        return cls(q, mult, coord, a_res, m, c,
+                   np.cos(2 * math.pi * np.outer(alphas, m)))
 
-    def val(alpha: float) -> float:
-        return abs(np.dot(base, np.exp(-2j * math.pi * alpha * m)))
+    def _rows_sq(self, V: np.ndarray) -> np.ndarray:
+        """|grid row k applied to column j of V|^2; V is (H + 1, n) complex."""
+        G = self.cos @ V.view(float)          # real and imaginary parts interleave
+        return G[:, 0::2] ** 2 + G[:, 1::2] ** 2
 
-    alphas = np.arange(a_res) / a_res
-    vals = np.abs(np.exp(-2j * math.pi * np.outer(alphas, m)) @ base)
-    best = int(np.argmax(vals))
-    lo = (best - 1) / a_res
-    hi = (best + 1) / a_res
-    astar, v = golden_max(val, lo, hi, iters=48)
-    period = math.pi / (t * qj)
-    return astar * period, v
+    def grid(self, t0: float, step: float, n: int) -> np.ndarray:
+        """Grid sup over alpha at t = t0 + j step, j < n, in blocks of nodes.
+
+        A block starting at t_b uses c_m e^{i q m^2 t_b} times the fixed
+        e^{i q m^2 j step}: one complex product per node and no running
+        recurrence, so rounding does not accumulate across blocks.
+        """
+        block = max(1, min(n, SUP_BLOCK // len(self.cos)))
+        out, row = np.ones(n), np.empty(n)
+        for qj, k in zip(self.q, self.mult):
+            msq = qj * self.m * self.m
+            steps = np.exp(1j * np.outer(msq, step * np.arange(block)))
+            for start in range(0, n, block):
+                width = min(block, n - start)
+                seed = self.c * np.exp(1j * msq * (t0 + step * start))
+                rows = self._rows_sq(seed[:, None] * steps[:, :width])
+                row[start:start + width] = np.max(rows, axis=0)
+            out *= np.sqrt(row) ** k
+        return out
+
+    def _refine(self, qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Refined sup over alpha for each lane q t: (alpha*, value).
+
+        Each lane's grid maximum seeds a golden search on the two cells
+        around it; all lanes run as one lane-wise search.
+        """
+        V = self.c[:, None] * np.exp(1j * np.outer(self.m * self.m, qt))
+        best = np.argmax(self._rows_sq(V), axis=0)
+
+        def value(alpha):
+            return np.abs(np.sum(V * np.cos(2 * math.pi * np.outer(self.m, alpha)),
+                                 axis=0))
+
+        return golden_max(value, (best - 1) / self.a_res, (best + 1) / self.a_res,
+                          iters=48)
+
+    def refined(self, t: np.ndarray) -> np.ndarray:
+        """Refined sup_a phi_a(t; s) for each lane t; the per-coordinate
+        searches of all lanes run as the lanes of one search."""
+        factors = self._refine(np.outer(self.q, t).ravel())[1].reshape(len(self.q), -1)
+        return np.prod(factors ** self.mult[:, None], axis=0)
+
+    def shift(self, t: float) -> np.ndarray:
+        """A maximizing shift a* at t, one entry per coordinate."""
+        alpha, _ = self._refine(self.q * t)
+        return (alpha * math.pi / (t * self.q))[self.coord]
 
 
 def sup_phi_profile(form: QuadraticForm, s: float, T: float,
@@ -334,12 +413,13 @@ def sup_phi_profile(form: QuadraticForm, s: float, T: float,
                     a_res: int = 96) -> TrigProfile:
     """Grid profile of sup_a phi_a(t; s) for diagonal forms (exact per-coordinate
     reduction of the shift supremum to one period)."""
-    qdiag = _diag_entries(form)
-    table = convolve_weights(int(math.isqrt(int(s))), 3)
-    ts = default_t_grid(s, T, t_res)
-    vals = np.ones(len(ts))
-    for qj in qdiag:
-        vals *= _sup_factor_coordinate(qj, ts, table, a_res)
+    _check_sup_args(a_res)
+    engine = _ShiftSup.build(form, s, a_res)
+    t0, step, npts, tail = _grid_spec(s, T, t_res)
+    ts = t0 + step * np.arange(npts)
+    vals = engine.grid(t0, step, npts)
+    if tail:
+        ts, vals = np.append(ts, T), np.append(vals, engine.grid(T, 0.0, 1))
     return TrigProfile(s=s, t=ts, values=vals, mode="factorized",
                        a_mode="sup",
                        a_desc=f"per-coordinate grid {a_res} + period reduction",
@@ -367,37 +447,30 @@ def gamma_estimate(form: QuadraticForm, s: float, T: float,
     heuristic sup over an a-grid in [0, 1)^d (a lower bound on gamma, flagged
     as such in the profile).
     """
+    _check_sup_args(a_res, top_k)
     if not form.is_diagonal:
         if mc_budget is None:
             raise ValueError("non-diagonal form needs mc_budget for the "
                              "heuristic sup path")
         return _gamma_heuristic(form, s, T, a_res, mc_budget, samples, seed)
-    qdiag = _diag_entries(form)
-    table = convolve_weights(int(math.isqrt(int(s))), 3)
+    engine = _ShiftSup.build(form, s, a_res)
     profile = sup_phi_profile(form, s, T, t_res=t_res, a_res=a_res)
     ts, vals = profile.t, profile.values
-
-    def sup_at(t: float) -> float:
-        out = 1.0
-        for qj in qdiag:
-            out *= _sup_factor_scalar(qj, t, table, a_res)[1]
-        return out
-
     order = np.argsort(vals)[::-1][:top_k]
     best_t = float(ts[order[0]])
     best_v = float(vals[order[0]])
     dt = ts[1] - ts[0] if len(ts) > 1 else 1e-3
-    for idx in order:
-        lo = max(float(ts[idx]) - dt, ts[0])
-        hi = min(float(ts[idx]) + dt, ts[-1])
-        for _ in range(refine_rounds - 1):
-            tc, vc = golden_max(sup_at, lo, hi, iters=40)
-            lo, hi = tc - (hi - lo) * 0.05, tc + (hi - lo) * 0.05
-        tc, vc = golden_max(sup_at, lo, hi, iters=40)
-        if vc > best_v:
-            best_t, best_v = tc, vc
-    a_star = np.array([_sup_factor_scalar(qj, best_t, table, a_res)[0]
-                       for qj in qdiag])
+    # the candidates are the lanes of one golden search per round
+    lo = np.maximum(ts[order] - dt, ts[0])
+    hi = np.minimum(ts[order] + dt, ts[-1])
+    for _ in range(refine_rounds - 1):
+        tc, vc = golden_max(engine.refined, lo, hi, iters=40)
+        lo, hi = tc - (hi - lo) * 0.05, tc + (hi - lo) * 0.05
+    tc, vc = golden_max(engine.refined, lo, hi, iters=40)
+    for t, v in zip(tc, vc):
+        if v > best_v:
+            best_t, best_v = float(t), float(v)
+    a_star = engine.shift(best_t)
     # lexicographic tie-break on t keeps the reduction deterministic
     return GammaResult(gamma=min(best_v, 1.0), t_star=best_t, a_star=a_star,
                        profile=profile)

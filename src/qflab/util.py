@@ -1,5 +1,5 @@
-"""Small shared helpers: seeded substreams, scalar maximization and the one
-lattice-box iterator.
+"""Small shared helpers: seeded substreams, lane-wise golden-section search
+and the one lattice-box iterator.
 
 Every scan of a full box [-H, H]^d goes through `box_blocks`, which yields the
 box in fixed-size blocks: memory is O(BOX_CHUNK * d) however large the box,
@@ -36,27 +36,32 @@ def worker_chunks(total: int, workers: int) -> list[int]:
     return [n for n in out if n > 0]
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-ish scalar function on [lo, hi].
+def golden_max(f, lo, hi, iters: int = 60):
+    """Golden-section maximization of a unimodal-ish function on [lo, hi].
 
-    Returns (argmax, max).  Used only for local refinement around grid
-    candidates, where the local unimodality assumption is benign.
+    Returns (argmax, max).  Lane-wise: `lo` and `hi` may be arrays, `f` then
+    maps an array of points to an array of values, and each lane takes
+    exactly the branch a scalar search would take on it alone.  Scalar
+    bounds call `f` on floats and return floats.  Used only for local
+    refinement around grid candidates, where the local unimodality
+    assumption is benign.
     """
-    a, b = lo, hi
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    fx = (lambda x: f(float(x))) if scalar else f
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                               np.asarray(hi, dtype=float))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = fx(c), fx(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
+        left = fc >= fd          # keep [a, d], else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fnew = fx(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fnew, fd), np.where(left, fc, fnew))
     x = (a + b) / 2
-    return x, f(x)
+    return (float(x), float(fx(x))) if scalar else (x, fx(x))
 
 
 def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:

@@ -59,6 +59,15 @@ def test_bad_radius_exits_1(i2_file, capsys):
     assert err == {"error": "validation", "reason": "r must be > 0"}
 
 
+@pytest.mark.parametrize("a_res", ["0", "-3"])
+def test_bad_a_res_exits_1(i2_file, capsys, a_res):
+    rc = main(["gamma-curve", "--form", i2_file, "-p", "s_grid=16", "-p", "T=1",
+               "-p", f"a_res={a_res}"])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "reason": "a_res must be >= 1"}
+
+
 def test_csv_determinism(tmp_path, i2_file):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"""

@@ -4,13 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qflab import trig
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
 from qflab.scalars import ExactScalar
+from qflab.smoothing import build_scheme, fhat_mu
 from qflab.trig import (check_basic_inequality, check_lemma64,
-                        convolve_weights, f_sum, gamma_estimate, mm, phi,
+                        convolve_weights, default_t_grid, f_sum,
+                        gamma_estimate, mm, phi, phi_factorized_batch,
                         phi_profile, phi_symmetrized, rho_of_s,
                         sup_phi_profile)
+
+R2 = ExactScalar.sqrt(2)
+D2 = diagonal_form([ExactScalar(1), R2])
+# repeated diagonal entries, so the engines' dedupe is exercised
+D3_REPEAT = diagonal_form([ExactScalar(1), R2, ExactScalar(1)])
 
 
 def test_convolve_weights_examples():
@@ -100,6 +108,45 @@ def test_f_sum_examples():
     assert f_sum(I2, [1.0, 2.0], 2 * math.pi, 5.0, 1) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_f_sum_rejects_unknown_mode():
+    nondiag = build_form([[1.0, 0.3], [0.3, 2.0]], normalize=False)
+    for form, mode in ((nondiag, "bogus"), (D2, "mc")):
+        with pytest.raises(ValueError, match="unknown mode"):
+            f_sum(form, [0.1, 0.2], 0.3, 3, 1, mode=mode)
+
+
+def _factor_loop(qdiag, a, ts, offsets, weights):
+    """Per-coordinate product of sum_m w_m e^{i t q (m - a)^2}, one factor
+    per coordinate, repeated pairs included."""
+    m = np.asarray(offsets, dtype=float)
+    out = np.ones(len(ts), dtype=complex)
+    for qj, aj in zip(qdiag, a):
+        out *= np.array([np.dot(weights, np.exp(1j * t * qj * (m - aj) ** 2))
+                         for t in ts])
+    return out
+
+
+def test_factorized_transform_matches_coordinate_loop():
+    form = diagonal_form([ExactScalar(1), R2, ExactScalar(1), R2, ExactScalar(3)])
+    a = np.array([0.3, -0.2, 0.3, 0.5, 0.3])      # (1, 0.3) appears twice
+    qdiag = np.diagonal(form.matrix)
+    ts = np.linspace(-2.5, 3.7, 41)
+    table = convolve_weights(4, 3)
+    want = np.abs(_factor_loop(qdiag, a, ts, table.offsets, table.weights))
+    got = phi_factorized_batch(qdiag, a, ts, table)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert phi(form, a, float(ts[7]), 16.0, mode="factorized") == pytest.approx(
+        want[7], rel=1e-13, abs=1e-13)
+    scheme = build_scheme(8, 2, 4)
+    want = _factor_loop(qdiag, a, ts, scheme.offsets, scheme.weights)
+    assert np.allclose(fhat_mu(form, a, ts, scheme), want, rtol=1e-13, atol=1e-13)
+    # f_sum's linear phase becomes a shift of the same transform
+    for t in (0.3, 1.7):
+        assert f_sum(D3_REPEAT, [0.4, -0.7, 0.4], t, 3, 1) == pytest.approx(
+            f_sum(D3_REPEAT, [0.4, -0.7, 0.4], t, 3, 1, mode="direct"),
+            rel=1e-12, abs=1e-14)
+
+
 def test_phi_symmetrized_basics(identity2):
     assert phi_symmetrized(identity2, 0.0, 10.0) == pytest.approx(1.0, abs=1e-12)
     assert phi_symmetrized(identity2, math.pi, 10.0) == pytest.approx(1.0, abs=1e-9)
@@ -167,6 +214,66 @@ def test_gamma_monotone_in_T():
     g1 = gamma_estimate(form, 100.0, 2.0, t_res=1e-3)
     g2 = gamma_estimate(form, 100.0, 4.0, t_res=1e-3)
     assert g2.gamma >= g1.gamma - 1e-9
+
+
+def test_sup_and_gamma_reject_bad_a_res_and_top_k():
+    for a_res in (0, -3):
+        with pytest.raises(ValueError, match="a_res"):
+            sup_phi_profile(D2, 16.0, 1.0, a_res=a_res)
+        with pytest.raises(ValueError, match="a_res"):
+            gamma_estimate(D2, 16.0, 1.0, a_res=a_res)
+    with pytest.raises(ValueError, match="top_k"):
+        gamma_estimate(D2, 16.0, 1.0, top_k=0)
+
+
+def _sup_reference(form, s, ts, a_res):
+    """Literal unfolded shift supremum on the alpha grid: per coordinate the
+    max over alpha = k / a_res, k < a_res, of
+    |sum_{m=-H..H} w_m e^{i t q m^2} e^{-2 pi i alpha m}|, times over coordinates."""
+    table = convolve_weights(int(math.isqrt(int(s))), 3)
+    m = table.offsets.astype(float)
+    shifts = np.exp(-2j * math.pi * np.outer(np.arange(a_res) / a_res, m))
+    out = np.ones(len(ts))
+    for qj in np.diagonal(form.matrix):
+        for i, t in enumerate(ts):
+            base = table.weights * np.exp(1j * t * qj * m * m)
+            out[i] *= np.max(np.abs(shifts @ base))
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("a_res", [1, 7, 12])
+def test_sup_profile_matches_unfolded_reference(monkeypatch, block, a_res):
+    if block is not None:       # several node blocks per coordinate
+        monkeypatch.setattr(trig, "SUP_BLOCK", block)
+    s, T, t_res = 25.0, 1.5, 7e-3
+    ts = default_t_grid(s, T, t_res)
+    assert ts[-1] == T and ts[-1] - ts[-2] < t_res     # T is appended
+    for form in (D2, D3_REPEAT):
+        prof = sup_phi_profile(form, s, T, t_res=t_res, a_res=a_res)
+        assert np.array_equal(prof.t, ts)
+        want = _sup_reference(form, s, ts, a_res)
+        assert np.allclose(prof.values, want, rtol=1e-12, atol=0)
+
+
+# gamma(s, 4) and t* of the per-coordinate engine this one replaced
+# (unfolded shift grid, per-node exp, scalar golden searches)
+GAMMA_PINNED = [
+    ("surd9", 100.0, 4.272460070337186e-05, 3.6909049396029037),
+    ("d2", 100.0, 0.24357612137004223, 3.1453587130020297),
+    ("d2", 400.0, 0.1717446114866139, 3.1409797686943963),
+]
+
+
+@pytest.mark.parametrize("name,s,gamma,t_star", GAMMA_PINNED)
+def test_gamma_matches_pinned_values(surd9, name, s, gamma, t_star):
+    form = surd9 if name == "surd9" else D2
+    g = gamma_estimate(form, s, 4.0)
+    assert g.gamma == pytest.approx(gamma, rel=1e-9, abs=0)
+    assert g.t_star == pytest.approx(t_star, rel=math.sqrt(1e-9), abs=0)
+    # the returned shift attains gamma at t*
+    assert phi(form, g.a_star, g.t_star, s, mode="factorized") == pytest.approx(
+        g.gamma, rel=1e-9, abs=0)
 
 
 def test_mm_branches():

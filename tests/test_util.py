@@ -1,4 +1,4 @@
-"""The lattice-box iterator and the box scans built on it."""
+"""The lattice-box iterator, the box scans built on it, and the golden search."""
 
 import math
 import tracemalloc
@@ -15,7 +15,7 @@ from qflab.lattice import enumerate_values
 from qflab.rationality import count_H, successive_minima
 from qflab.scalars import ExactScalar
 from qflab.trig import f_sum, phi, phi_symmetrized
-from qflab.util import box_blocks
+from qflab.util import box_blocks, golden_max
 
 SMALL_CHUNK = 13   # prime, so blocks straddle every row of the box
 
@@ -93,3 +93,52 @@ def test_box_scan_memory_is_bounded(scan):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def _golden_scalar_reference(f, lo, hi, iters=60):
+    """The scalar golden-section loop golden_max must reproduce bit for bit."""
+    g = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    return x, f(x)
+
+
+def _cubic(x):
+    # elementwise arithmetic only, so floats and arrays round alike
+    return x * (2.0 - x) * (x + 0.5) - 0.25 * x * x * x * x
+
+
+def test_golden_lanes_match_scalar_runs():
+    lo = np.array([-1.0, 0.0, 0.3, 1.2, 2.0, -3.0, 0.7])
+    hi = np.array([3.0, 0.5, 0.3, 1.9, 2.5, 4.0, 0.9])    # one empty interval
+    xs, vs = golden_max(_cubic, lo, hi, iters=40)
+    for i in range(len(lo)):
+        x, v = golden_max(_cubic, float(lo[i]), float(hi[i]), iters=40)
+        assert (xs[i], vs[i]) == (x, v)
+    # scalar bounds broadcast against array bounds
+    xb, _ = golden_max(_cubic, 0.0, hi, iters=40)
+    assert xb.shape == hi.shape
+
+
+def test_golden_scalar_is_the_old_loop(surd9):
+    def sym(t):
+        return phi_symmetrized(surd9, t, 6.0, 1)
+
+    cases = [(_cubic, -1.0, 3.0), (_cubic, 0.2, 0.2),
+             (sym, np.float64(0.5), np.float64(0.55))]
+    for f, lo, hi in cases:
+        x, v = golden_max(f, lo, hi)
+        assert type(x) is float and type(v) is float
+        assert (x, v) == _golden_scalar_reference(f, lo, hi)
