@@ -7,12 +7,12 @@ ratios and fit constants downstream, never asserting them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .trig import TrigProfile, mm
+from .trig import TrigProfile
 
 
 def theta(s: int) -> int:

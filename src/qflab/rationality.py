@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import QuadraticForm
-from .trig import phi_symmetrized, phi_symmetrized_batch
+from .trig import phi_symmetrized_batch, symmetrized_transform
 from .util import box_blocks, golden_max
 
 LLL_DELTA = 0.99
@@ -260,20 +260,21 @@ class ProbeResult:
 
 def sup_phi_symmetrized(form: QuadraticForm, delta0: float, delta: float,
                         r: float, k: int = 1, t_nodes: int = 512) -> float:
-    """sup of phi_sym(t; r) over [delta0, delta]: dense grid plus golden
-    refinement around the top candidates."""
+    """sup of phi_sym(t; r) over [delta0, delta]: a dense float64 grid, then
+    one long-double golden search whose lanes are the top four candidates."""
     # peaks of phi_sym have width ~ 1/r^2; scale the grid so none is skipped
     nodes = max(t_nodes, min(2 ** 20, int((delta - delta0) * r * r * 3) + 2))
     ts = np.linspace(delta0, delta, nodes)
-    vals = phi_symmetrized_batch(form, ts, r, k)
-    best = float(np.max(vals))
-    for idx in np.argsort(vals)[::-1][:4]:
-        lo = ts[max(idx - 1, 0)]
-        hi = ts[min(idx + 1, len(ts) - 1)]
-        _, v = golden_max(lambda t: phi_symmetrized(form, t, r, k), lo, hi,
-                          iters=60)
-        best = max(best, v)
-    return best
+    vals = phi_symmetrized_batch(form, ts, r, k)   # checks form, r and k
+
+    def peak(t):
+        return symmetrized_transform(np.diagonal(form.matrix), t, int(r), k,
+                                     np.longdouble).astype(float)
+
+    top = np.argsort(vals)[::-1][:4]
+    _, v = golden_max(peak, ts[np.maximum(top - 1, 0)],
+                      ts[np.minimum(top + 1, len(ts) - 1)], iters=60)
+    return max(float(np.max(vals)), float(np.max(v)))
 
 
 def rationality_probe(form: QuadraticForm, delta0: float, delta: float,

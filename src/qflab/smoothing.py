@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .forms import QuadraticForm, ShiftVector
 from .lattice import dp_count_le, dp_for_form, ellipsoid_candidates, quad_values
 from .trig import factorized_transform, gamma_estimate

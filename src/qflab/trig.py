@@ -4,7 +4,7 @@ The triple sum over a box collapses to a single weighted sum by per-coordinate
 self-convolution of the uniform box weight; for diagonal forms the phase then
 splits per coordinate, the modulus of the product is the product of moduli,
 and the shift supremum reduces to one period per coordinate.  Those two
-identities carry all the heavy evaluations here, in two engines:
+identities carry all the heavy evaluations here, in three engines:
 
 * `factorized_transform`, the complex product over distinct (q_j, a_j) pairs,
   serves every fixed-shift path: phi, its batches and profiles, f_sum and
@@ -17,6 +17,10 @@ identities carry all the heavy evaluations here, in two engines:
   running recurrence.  Refinement runs the top t-candidates as the lanes of
   one golden search, and each of its objective calls runs every
   (coordinate, t) shift search as the lanes of another.
+* `symmetrized_transform` serves every diagonal phi_sym: the float64 grid
+  and the long-double values of phi_symmetrized and of the peak lanes in
+  rationality.sup_phi_symmetrized.  The Dirichlet-kernel ratio is even in u
+  and the weights are symmetric, so the +-u terms fold into u >= 0.
 """
 
 from __future__ import annotations
@@ -29,11 +33,14 @@ import numpy as np
 
 from .forms import QuadraticForm
 from .lattice import quad_values
-from .util import golden_max, spawn_rngs, weighted_box_sum, worker_chunks
+from .util import golden_max, weighted_box_sum
+from .volume import mc_mean
 
 DEFAULT_T_NODES = 2 ** 16
 TOP_CANDIDATES = 8
+REFINE_ROUNDS = 3           # golden rounds of gamma_estimate's t-refinement
 TRANSFORM_CHUNK = 2 ** 20   # (t, m) phase entries per chunk of the transform
+SYM_CHUNK = 2 ** 22         # (t, u) kernel entries per chunk of phi_sym
 SUP_BLOCK = 2 ** 15         # (alpha, t) cells per block of the sup grid
 
 
@@ -132,32 +139,13 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
             table.weights, d,
             lambda X: np.exp(1j * t * quad_values(form.matrix, a, X)), budget))
     if mode == "mc":
-        return _phi_mc(form.matrix, a, t, table, samples, seed, workers)
+        def sampler(rng, cnt):
+            Y = rng.integers(-n, n + 1, size=(cnt, d, table.fold)).sum(axis=2) - a
+            return np.exp(1j * t * np.einsum("ij,jk,ik->i", Y, form.matrix, Y))
+
+        est = mc_mean(sampler, samples, seed, workers)
+        return abs(est.mean), est.stderr   # modulus bias is O(stderr^2)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _phi_mc(mat, a, t, table: WeightTable, samples, seed, workers):
-    d = mat.shape[0]
-    n = table.n
-    rngs = spawn_rngs(seed, workers)
-    chunks = worker_chunks(samples, workers)
-    acc = 0j
-    acc_re2 = acc_im2 = 0.0
-    total = 0
-    for rng, cnt in zip(rngs, chunks):
-        y = rng.integers(-n, n + 1, size=(cnt, d, table.fold)).sum(axis=2)
-        Y = y.astype(float) - a
-        vals = np.einsum("ij,jk,ik->i", Y, mat, Y)
-        z = np.exp(1j * t * vals)
-        acc += np.sum(z)
-        acc_re2 += float(np.sum(z.real ** 2))
-        acc_im2 += float(np.sum(z.imag ** 2))
-        total += cnt
-    mean = acc / total
-    var = (acc_re2 / total - mean.real ** 2) + (acc_im2 / total - mean.imag ** 2)
-    stderr = math.sqrt(max(var, 0.0) / total)
-    # modulus of the complex mean; bias is O(stderr^2)
-    return abs(mean), stderr
 
 
 def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
@@ -199,38 +187,54 @@ def _dirichlet_ratio(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
     (dtype=np.longdouble) pushes the argument-rounding noise floor near
     resonances from ~1e-9 down to ~1e-13, which the peak refinements need.
     """
-    z = np.asarray(z, dtype=dtype)
-    half = z / dtype(2)
+    half = np.asarray(z, dtype=dtype) / dtype(2)
     s = np.sin(half)
-    num = np.sin((2 * n + 1) * half)
     small = np.abs(s) < 1e-9
-    out = np.empty_like(z)
-    safe = ~small
-    out[safe] = num[safe] / s[safe] / (2 * n + 1)
+    out = np.sin((2 * n + 1) * half) / np.where(small, 1, s) / (2 * n + 1)
     if np.any(small):
         out[small] = np.cos((2 * n + 1) * half[small]) / np.cos(half[small])
     return np.clip(out, -1.0, 1.0)
 
 
-def phi_symmetrized_batch(form: QuadraticForm, ts: np.ndarray, r: float,
-                          k: int = 1) -> np.ndarray:
-    """phi_sym on an array of t values (diagonal forms), chunked for memory."""
-    n = int(r)
+def symmetrized_transform(qdiag: np.ndarray, ts: np.ndarray, n: int, k: int,
+                          dtype=float) -> np.ndarray:
+    """prod_j sum_u w_u (D_n(2 q_j t u) / (2n+1))^{2k} on an array of t values,
+    w = convolve_weights(n, 2), in `dtype` (np.longdouble for peak values).
+
+    Folded over +-u: c_0 = w_0 and c_u = 2 w_u, rounded once from the exact
+    integer weights and summed from u = 2n down.  Each distinct q_j is summed
+    once and raised to its multiplicity; t runs in chunks of SYM_CHUNK.
+    """
     tri = convolve_weights(n, 2)
-    u = tri.offsets.astype(float)
-    wu = tri.weights
-    qdiag = _diag_entries(form)
-    ts = np.asarray(ts, dtype=float)
-    out = np.ones(len(ts))
-    chunk = max(1, (2 ** 22) // max(len(u), 1))
+    H = tri.half_support
+    u = np.arange(H, -1, -1, dtype=dtype)     # smallest weights summed first
+    c = tri.numerators[:H + 1].astype(dtype)  # small exact integers
+    c[:-1] *= 2
+    c /= dtype(tri.denominator())
+    q, mult = np.unique(qdiag, return_counts=True)
+    ts = np.asarray(ts, dtype=dtype)
+    out = np.ones(len(ts), dtype=dtype)
+    chunk = max(1, SYM_CHUNK // len(u))
     for start in range(0, len(ts), chunk):
         tt = ts[start:start + chunk]
-        block = np.ones(len(tt))
-        for qj in qdiag:
-            Z = 2.0 * qj * np.outer(tt, u)
-            block *= _dirichlet_ratio(Z, n) ** (2 * k) @ wu
-        out[start:start + chunk] = block
+        for qj, m in zip(q, mult):
+            g = _dirichlet_ratio(np.outer(2 * qj * tt, u), n, dtype) ** (2 * k)
+            out[start:start + chunk] *= (g @ c) ** m
     return out
+
+
+def _sym_order(r: float, k: int) -> int:
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(r)
+
+
+def phi_symmetrized_batch(form: QuadraticForm, ts: np.ndarray, r: float,
+                          k: int = 1) -> np.ndarray:
+    """phi_sym on an array of t values (diagonal forms), in float64."""
+    return symmetrized_transform(_diag_entries(form), ts, _sym_order(r, k), k)
 
 
 def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
@@ -238,22 +242,13 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
     """The symmetrized bilinear sum phi(t; r) over e{2t <Qx, y>}.
 
     The inner y-sum is a product of squared Dirichlet-kernel powers for any
-    form; for diagonal forms the outer x-sum also splits per coordinate.
-    Always real and in [0, 1], with value 1 at t = 0.
+    form; for diagonal forms the outer x-sum also splits per coordinate (long
+    double).  Real, in [0, 1] and 1 at t = 0.  Needs r >= 1 and k >= 1.
     """
-    n = int(r)
-    tri = convolve_weights(n, 2)          # symmetrization of the uniform weight
+    n = _sym_order(r, k)
     if form.is_diagonal:
-        u = tri.offsets.astype(np.longdouble)
-        wu = tri.weights.astype(np.longdouble)
-        qdiag = _diag_entries(form)
-        out = np.longdouble(1.0)
-        for qj in qdiag:
-            g = _dirichlet_ratio(np.longdouble(2.0) * np.longdouble(t)
-                                 * np.longdouble(qj) * u, n,
-                                 dtype=np.longdouble) ** (2 * k)
-            out *= np.dot(wu, g)
-        return float(out)
+        return float(symmetrized_transform(_diag_entries(form), [t], n, k,
+                                           np.longdouble)[0])
 
     def term(X):
         Z = X.astype(np.longdouble) @ form.matrix.T
@@ -262,7 +257,8 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
             g *= _dirichlet_ratio(2.0 * t * Z[:, j], n) ** (2 * k)
         return g
 
-    return float(weighted_box_sum(tri.weights, form.dim, term, budget))
+    return float(weighted_box_sum(convolve_weights(n, 2).weights, form.dim, term,
+                                  budget))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,7 @@ class GammaResult:
 
 def gamma_estimate(form: QuadraticForm, s: float, T: float,
                    t_res: Optional[float] = None, a_res: int = 96,
-                   refine_rounds: int = 3, top_k: int = TOP_CANDIDATES,
+                   top_k: int = TOP_CANDIDATES,
                    mc_budget: Optional[int] = None,
                    samples: int = 20000, seed: int = 0) -> GammaResult:
     """gamma(s, T) = sup_a sup_{s^{-1/2} <= t <= T} phi_a(t; s).
@@ -463,7 +459,7 @@ def gamma_estimate(form: QuadraticForm, s: float, T: float,
     # the candidates are the lanes of one golden search per round
     lo = np.maximum(ts[order] - dt, ts[0])
     hi = np.minimum(ts[order] + dt, ts[-1])
-    for _ in range(refine_rounds - 1):
+    for _ in range(REFINE_ROUNDS - 1):
         tc, vc = golden_max(engine.refined, lo, hi, iters=40)
         lo, hi = tc - (hi - lo) * 0.05, tc + (hi - lo) * 0.05
     tc, vc = golden_max(engine.refined, lo, hi, iters=40)

@@ -37,31 +37,27 @@ def worker_chunks(total: int, workers: int) -> list[int]:
 
 
 def golden_max(f, lo, hi, iters: int = 60):
-    """Golden-section maximization of a unimodal-ish function on [lo, hi].
+    """Lane-wise golden-section maximization on [lo, hi].
 
-    Returns (argmax, max).  Lane-wise: `lo` and `hi` may be arrays, `f` then
-    maps an array of points to an array of values, and each lane takes
-    exactly the branch a scalar search would take on it alone.  Scalar
-    bounds call `f` on floats and return floats.  Used only for local
-    refinement around grid candidates, where the local unimodality
-    assumption is benign.
+    `lo` and `hi` are arrays of lane bounds (broadcast against each other),
+    `f` maps an array of points to an array of values, and each lane takes
+    exactly the branch a scalar search would take on it alone.  Returns the
+    arrays (argmax, max).  Used only for local refinement around grid
+    candidates, where the local unimodality assumption is benign.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    fx = (lambda x: f(float(x))) if scalar else f
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                               np.asarray(hi, dtype=float))
+    a, b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = fx(c), fx(d)
+    fc, fd = f(c), f(d)
     for _ in range(iters):
         left = fc >= fd          # keep [a, d], else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fnew = fx(x)
+        fnew = f(x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fnew, fd), np.where(left, fc, fnew))
     x = (a + b) / 2
-    return (float(x), float(fx(x))) if scalar else (x, fx(x))
+    return x, f(x)
 
 
 def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:

@@ -8,6 +8,7 @@ rescaled Minkowski functional M0, whose u-integral is done by trapezoid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -115,19 +116,24 @@ def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
 
 
 def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
-    """Mean/stderr of a sampler(rng, n) -> 1d array, split over worker substreams."""
-    rngs = spawn_rngs(seed, workers)
-    chunks = worker_chunks(n_samples, workers)
-    total, total_sq, n_done = 0.0, 0.0, 0
-    for rng, n in zip(rngs, chunks):
+    """Mean/stderr of a sampler(rng, n) -> 1d array (real or complex), split
+    over worker substreams whose (count, mean, M2 = sum |x - mean|^2) merge by
+    Chan, Golub and LeVeque (1979): no E[x^2] - mean^2 cancellation."""
+    def chunk(rng, n):
         vals = sampler(rng, n)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        n_done += len(vals)
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0)
-    return McEstimate(mean=mean, stderr=math.sqrt(var / n_done),
-                      samples=n_done, seed=seed)
+        mean = np.sum(vals) / len(vals)
+        dev = vals - mean
+        return len(vals), mean, np.vdot(dev, dev).real
+
+    def merge(x, y):
+        (na, ma, m2a), (nb, mb, m2b) = x, y
+        n, delta = na + nb, mb - ma
+        return n, ma + delta * (nb / n), m2a + m2b + abs(delta) ** 2 * (na * nb / n)
+
+    n, mean, m2 = functools.reduce(merge, map(chunk, spawn_rngs(seed, workers),
+                                              worker_chunks(n_samples, workers)))
+    return McEstimate(mean=mean.item(), stderr=math.sqrt(m2 / n / n),
+                      samples=n, seed=seed)
 
 
 def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,

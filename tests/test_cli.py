@@ -169,6 +169,18 @@ def test_rationality_experiment(i2_file, capsys):
     assert "rational" in out["verdicts"]["exact_classification"]
 
 
+@pytest.mark.parametrize("param,reason", [("k=0", "k must be >= 1"),
+                                          ("r_schedule=0.2,0.5,0.9",
+                                           "r must be >= 1")])
+def test_rationality_bad_k_or_r_exits_1(tmp_path, capsys, param, reason):
+    p = tmp_path / "d2.form"
+    p.write_text("kind: exact\n1\n0\n0\nsqrt(2)\n")
+    rc = main(["rationality", "--form", str(p), "-p", param])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "reason": reason}
+
+
 def test_console_script_entrypoint(i2_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qflab.cli", "raw-op", "--form", i2_file,

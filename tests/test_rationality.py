@@ -6,7 +6,8 @@ import pytest
 
 from qflab.forms import build_form, diagonal_form
 from qflab.rationality import (count_H, dirichlet_approx, lll_reduce,
-                               rationality_probe, successive_minima)
+                               rationality_probe, successive_minima,
+                               sup_phi_symmetrized)
 from qflab.scalars import ExactScalar
 
 
@@ -166,3 +167,25 @@ def test_probe_validation():
         rationality_probe(form, 0.5, 4.0, [10, 10, 20])
     with pytest.raises(ValueError):
         rationality_probe(form, -1.0, 4.0, [10, 20, 40])
+
+
+# sup_phi_symmetrized of the two-copy engine this one replaced (a float grid
+# over +-u and four scalar long-double golden searches)
+SUP_SYM_PINNED = [("surd9", 10.0, 1.1004859371229373e-08),
+                  ("d2", 20.0, 0.038819674959585326)]
+
+
+@pytest.mark.parametrize("name,r,value", SUP_SYM_PINNED)
+def test_sup_phi_symmetrized_matches_pinned_values(surd9, name, r, value):
+    form = surd9 if name == "surd9" else diagonal_form(
+        [ExactScalar(1), ExactScalar.sqrt(2)])
+    assert sup_phi_symmetrized(form, 0.5, 4.0, r) == pytest.approx(
+        value, rel=1e-12, abs=0)
+
+
+def test_probe_rejects_bad_k_and_r(surd9):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rationality_probe(surd9, 0.5, 4.0, [10, 20, 40], k=k)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        rationality_probe(surd9, 0.5, 4.0, [0.2, 0.5, 0.9])

@@ -12,8 +12,8 @@ from qflab.smoothing import build_scheme, fhat_mu
 from qflab.trig import (check_basic_inequality, check_lemma64,
                         convolve_weights, default_t_grid, f_sum,
                         gamma_estimate, mm, phi, phi_factorized_batch,
-                        phi_profile, phi_symmetrized, rho_of_s,
-                        sup_phi_profile)
+                        phi_profile, phi_symmetrized, phi_symmetrized_batch,
+                        rho_of_s, sup_phi_profile)
 
 R2 = ExactScalar.sqrt(2)
 D2 = diagonal_form([ExactScalar(1), R2])
@@ -194,6 +194,44 @@ def test_phi_symmetrized_general_branch_vs_bruteforce():
         got = phi_symmetrized(form, t, 3.0, k=1)
         want = _phi_sym_bruteforce(form.matrix, t, 3)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def _phi_sym_unfolded(qdiag, t: float, n: int, k: int) -> float:
+    """Per-coordinate sum over u = -2n..2n of w_u (D_n(2 q t u) / (2n+1))^{2k},
+    the kernel written out as its cosine sum."""
+    tri = convolve_weights(n, 2)
+    j = np.arange(-n, n + 1)
+    out = 1.0
+    for qj in qdiag:
+        ratio = np.array([np.sum(np.cos(j * 2.0 * qj * t * u)) / (2 * n + 1)
+                          for u in tri.offsets])
+        out *= float(np.dot(tri.weights, ratio ** (2 * k)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_symmetrized_engine_matches_unfolded_sum(k):
+    qdiag = np.diagonal(D3_REPEAT.matrix)         # entry 1 appears twice
+    ts = np.array([0.0, 0.3, 0.77, 1.1, 2.05, 2.7, 3.3])
+    want = np.array([_phi_sym_unfolded(qdiag, t, 4, k) for t in ts])
+    got = phi_symmetrized_batch(D3_REPEAT, ts, 4.5, k)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    for t, w in zip(ts, want):
+        assert phi_symmetrized(D3_REPEAT, float(t), 4.5, k) == pytest.approx(
+            w, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("r,k,match", [(0.9, 1, "r must be >= 1"),
+                                       (-2.0, 1, "r must be >= 1"),
+                                       (6.0, 0, "k must be >= 1"),
+                                       (6.0, -1, "k must be >= 1")])
+def test_symmetrized_sums_reject_bad_r_and_k(r, k, match):
+    nondiag = build_form([[1.0, 0.3], [0.3, 2.0]], normalize=False)
+    with pytest.raises(ValueError, match=match):
+        phi_symmetrized_batch(D2, [0.5, 1.0], r, k)
+    for form in (D2, nondiag):
+        with pytest.raises(ValueError, match=match):
+            phi_symmetrized(form, 0.5, r, k)
 
 
 def test_gamma_integer_peak():

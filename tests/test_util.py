@@ -14,7 +14,7 @@ from qflab.gaps import oppenheim_scan
 from qflab.lattice import enumerate_values
 from qflab.rationality import count_H, successive_minima
 from qflab.scalars import ExactScalar
-from qflab.trig import f_sum, phi, phi_symmetrized
+from qflab.trig import f_sum, phi, phi_symmetrized, symmetrized_transform
 from qflab.util import box_blocks, golden_max
 
 SMALL_CHUNK = 13   # prime, so blocks straddle every row of the box
@@ -125,20 +125,25 @@ def test_golden_lanes_match_scalar_runs():
     hi = np.array([3.0, 0.5, 0.3, 1.9, 2.5, 4.0, 0.9])    # one empty interval
     xs, vs = golden_max(_cubic, lo, hi, iters=40)
     for i in range(len(lo)):
-        x, v = golden_max(_cubic, float(lo[i]), float(hi[i]), iters=40)
-        assert (xs[i], vs[i]) == (x, v)
+        want = _golden_scalar_reference(_cubic, float(lo[i]), float(hi[i]), iters=40)
+        assert (xs[i], vs[i]) == want
+        x1, v1 = golden_max(_cubic, lo[i:i + 1], hi[i:i + 1], iters=40)
+        assert (x1[0], v1[0]) == want
     # scalar bounds broadcast against array bounds
     xb, _ = golden_max(_cubic, 0.0, hi, iters=40)
     assert xb.shape == hi.shape
 
 
 def test_golden_scalar_is_the_old_loop(surd9):
-    def sym(t):
-        return phi_symmetrized(surd9, t, 6.0, 1)
+    """Lanes over the long-double engine are scalar searches over phi_symmetrized."""
+    qdiag = np.diagonal(surd9.matrix)
 
-    cases = [(_cubic, -1.0, 3.0), (_cubic, 0.2, 0.2),
-             (sym, np.float64(0.5), np.float64(0.55))]
-    for f, lo, hi in cases:
-        x, v = golden_max(f, lo, hi)
-        assert type(x) is float and type(v) is float
-        assert (x, v) == _golden_scalar_reference(f, lo, hi)
+    def lanes(t):
+        return symmetrized_transform(qdiag, t, 6, 1, np.longdouble).astype(float)
+
+    lo = np.array([0.5, 1.3, 2.2, 3.0])
+    hi = np.array([0.55, 1.31, 2.2, 3.4])
+    xs, vs = golden_max(lanes, lo, hi)
+    for i in range(len(lo)):
+        assert (xs[i], vs[i]) == _golden_scalar_reference(
+            lambda t: phi_symmetrized(surd9, t, 6.0, 1), float(lo[i]), float(hi[i]))

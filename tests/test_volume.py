@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qflab.forms import build_form
+from qflab.util import spawn_rngs, worker_chunks
 from qflab.volume import (check_lemma82, delta_error, ellipsoid_volume,
                           euclidean_functional, indefinite_limit_formula,
                           indefinite_volume_mc, m0_functional,
-                          mc_ellipsoid_volume, sup_norm_functional,
+                          mc_ellipsoid_volume, mc_mean, sup_norm_functional,
                           weighted_sup_functional)
 
 Q3 = build_form([[1, 0, 0], [0, -1, 0], [0, 0, -1]], normalize=False)
@@ -99,6 +100,40 @@ def test_mc_stderr_scaling():
     e2 = indefinite_volume_mc(Q3, [0, 0, 0], M, 16.0, (0.0, 1.0), (-0.5, 0.5),
                               samples=2 * 10 ** 5, seed=6)
     assert e2.stderr == pytest.approx(e1.stderr / math.sqrt(2), rel=0.2)
+
+
+def _offset_uniform(rng, n):
+    return 1e9 + rng.uniform(0, 1, n)
+
+
+def _normal(rng, n):
+    return rng.normal(5.0, 2.0, n)
+
+
+def _phasor(rng, n):
+    return np.exp(1j * rng.uniform(0, 1, n))
+
+
+def test_mc_mean_keeps_variance_under_an_offset():
+    """One-pass E[x^2] - mean^2 cancels to 0 here; the merged M2 does not."""
+    est = mc_mean(_offset_uniform, 100000, 1, 2)
+    assert est.stderr == pytest.approx(1 / math.sqrt(12 * 100000), rel=0.02)
+
+
+@pytest.mark.parametrize("sampler", [_normal, _phasor])
+def test_mc_mean_merge_matches_two_pass(sampler):
+    n, seed, workers = 30001, 4, 3
+    xs = np.concatenate([sampler(rng, cnt) for rng, cnt in
+                         zip(spawn_rngs(seed, workers), worker_chunks(n, workers))])
+    mean = np.mean(xs)
+    stderr = math.sqrt(np.mean(np.abs(xs - mean) ** 2) / n)
+    est = mc_mean(sampler, n, seed, workers)
+    assert est.samples == n
+    assert abs(est.mean - mean) <= 1e-12 * abs(mean)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    # one substream: the mean is the plain sum over the samples
+    vals = sampler(spawn_rngs(seed, 1)[0], n)
+    assert mc_mean(sampler, n, seed, 1).mean == np.sum(vals) / n
 
 
 def test_r_convergence_to_limit():
