@@ -11,6 +11,11 @@ Two interchangeable engines:
   per-coordinate value distributions are convolved on an integer lattice of
   scaled value coordinates (one axis per surd radicand), which stays exact for
   arbitrary surd diagonals and scales to d = 9 boxes far beyond enumeration.
+  The table starts as a single 1 at the origin (the empty sum), and each
+  coordinate shift-adds only the bounding box of the table's nonzero cells,
+  found by one `np.any` reduction per axis: early partial sums fill a small
+  corner of the table, so most of the copying is skipped.  Work and budget
+  are still charged for the full box.
 
 This module alone decides when the DP applies and how large its box is:
 `dp_for_form` builds it (or returns None) for every caller, counts, gaps and
@@ -184,23 +189,47 @@ def _cell_values(shape, basis, scales, offsets) -> np.ndarray:
     return val
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, offs: Sequence[int], weight) -> None:
-    """dst[idx + offs] += weight * src[idx], for every in-range idx."""
+def _nonzero_box(table: np.ndarray) -> Optional[tuple[slice, ...]]:
+    """Bounding box of the nonzero cells (None if there are none), from one
+    np.any reduction per axis: no index array the size of the table."""
+    box = []
+    for axis in range(table.ndim):
+        others = tuple(ax for ax in range(table.ndim) if ax != axis)
+        hit = np.any(table, axis=others)
+        if not hit.any():
+            return None
+        box.append(slice(int(np.argmax(hit)), len(hit) - int(np.argmax(hit[::-1]))))
+    return tuple(box)
+
+
+def _shift_add(dst: np.ndarray, src: np.ndarray, origin: Sequence[int],
+               weight) -> None:
+    """dst[origin + idx] += weight * src[idx], for every idx landing in dst."""
     src_slc, dst_slc = [], []
-    for size, o in zip(src.shape, offs):
-        o = int(o)
-        if abs(o) >= size:
+    for size, n, o in zip(dst.shape, src.shape, map(int, origin)):
+        lo, hi = max(o, 0), min(o + n, size)
+        if lo >= hi:
             return
-        if o >= 0:
-            src_slc.append(slice(0, size - o))
-            dst_slc.append(slice(o, size))
-        else:
-            src_slc.append(slice(-o, size))
-            dst_slc.append(slice(0, size + o))
+        src_slc.append(slice(lo - o, hi - o))
+        dst_slc.append(slice(lo, hi))
     if weight == 1:
         dst[tuple(dst_slc)] += src[tuple(src_slc)]
     else:
         dst[tuple(dst_slc)] += weight * src[tuple(src_slc)]
+
+
+def _add_coordinate(table: np.ndarray, rows: np.ndarray,
+                    w: Optional[np.ndarray]) -> np.ndarray:
+    """The table convolved with one coordinate's contribution rows (weighted
+    by w): one shift-add per row, of the nonzero box only."""
+    box = _nonzero_box(table)
+    new = np.zeros_like(table)
+    if box is not None:
+        src = table[box]
+        start = np.array([b.start for b in box])
+        for mi in range(rows.shape[0]):
+            _shift_add(new, src, start + rows[mi], 1 if w is None else w[mi])
+    return new
 
 
 def diagonal_value_dp(diag: Sequence[ExactScalar],
@@ -292,20 +321,11 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
     values = _cell_values(shape, basis, scales, offsets)
     cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
+    table[(0,) * len(shape)] = 1      # the empty sum
     for j in range(d):
         rows = contribs[j]
         w = None if weights is None else np.asarray(weights[j], dtype=dtype)
-        if j == 0:
-            # the first coordinate seeds the table directly
-            for mi in range(rows.shape[0]):
-                idx = tuple(int(v) for v in rows[mi])
-                if all(0 <= i < n for i, n in zip(idx, shape)):
-                    table[idx] += (1 if w is None else w[mi])
-        else:
-            new = np.zeros_like(table)
-            for mi in range(rows.shape[0]):
-                _shift_add(new, table, rows[mi], 1 if w is None else w[mi])
-            table = new
+        table = _add_coordinate(table, rows, w)
         if cap_mask is not None:
             table[cap_mask] = 0
     return DiagonalDP(basis=basis, scales=scales, offsets=offsets,
@@ -386,7 +406,10 @@ def dp_for_form(form: QuadraticForm, a: np.ndarray, cap: float, budget: int,
         m_ranges = []
         for q, aj in zip(diag, shift):
             rad = math.sqrt(max(cap, 0.0) / float(q)) * (1 + 1e-12) + 1e-9
-            m_ranges.append((math.ceil(float(aj) - rad), math.floor(float(aj) + rad)))
+            lo, hi = math.ceil(float(aj) - rad), math.floor(float(aj) + rad)
+            # no integer within reach: keep one point (above cap) so the
+            # box is never empty
+            m_ranges.append((min(lo, hi), hi))
     return diagonal_value_dp(diag, shift, m_ranges, cap=cap, weights=weights,
                              budget=budget)
 

@@ -7,7 +7,14 @@ density D is a product of per-coordinate factors
 
     D1(x) = sum_m W(m) b_{k+1}(x - m),
 
-with b_n the centered Irwin-Hall density.  Correction densities D_j contract
+with b_n the centered Irwin-Hall density.  D1 is a degree-k spline on the
+unit cells with knots m - (k+1)/2 + i, so it is evaluated from a table of
+per-cell polynomial coefficients in the local coordinate u in [0, 1): the
+table is the convolution of the integer weight numerators with the k+1
+polynomial pieces of b_{k+1}, built in exact integers, differentiated exactly
+for every order and rounded to float once (de Boor, "A Practical Guide to
+Splines", ch. VII).  An evaluation finds each point's cell and u once and
+runs Horner's rule on that cell's coefficients.  Correction densities D_j contract
 derivatives of D against moments of the (k+1)-fold cell measure; for the
 product density they reduce to sums of products of 1-d factor derivatives,
 enumerated over even multi-indices.  F-values against mu are exact weighted
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +50,19 @@ def _ih_coeffs(n: int):
     return [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
 
 
+def _check_deriv(deriv: int, n: int) -> None:
+    if deriv < 0:
+        raise ValueError(f"derivative order {deriv} must be >= 0")
+    if deriv > n - 2:
+        raise ValueError(f"derivative order {deriv} needs n >= {deriv + 2}")
+
+
 def irwin_hall(x: np.ndarray, n: int, deriv: int = 0) -> np.ndarray:
     """deriv-th derivative of the density of a sum of n uniforms on (-1/2, 1/2).
 
-    Valid for deriv <= n - 2 (where the density is still continuous).
+    Valid for 0 <= deriv <= n - 2 (where the density is still continuous).
     """
-    if deriv > n - 2:
-        raise ValueError(f"derivative order {deriv} needs n >= {deriv + 2}")
+    _check_deriv(deriv, n)
     y = np.asarray(x, dtype=float) + n / 2.0
     p = n - 1 - deriv
     out = np.zeros_like(y)
@@ -140,11 +153,6 @@ class SmoothingScheme:
         return self.HR + 0.5
 
     @property
-    def lattice_core(self) -> int:
-        """Lattice points with |m| <= this carry exactly the weight (2 Rbar)^-1."""
-        return self.HR - self.k * self.hr
-
-    @property
     def continuous_core(self) -> float:
         """D1 is exactly (2 Rbar)^-1 on |x| <= Rbar - k rbar."""
         return self.R_bar - self.k * self.r_bar
@@ -153,18 +161,42 @@ class SmoothingScheme:
     def continuous_support(self) -> float:
         return self.R_bar + self.k * self.r_bar
 
+    @cached_property
+    def _spline_tables(self) -> tuple[np.ndarray, ...]:
+        """Per derivative order o < k, the float coefficients of D1^(o) on
+        every unit cell: row t holds the u^t coefficients, column c the cell
+        [c - half_support - (k+1)/2, +1)."""
+        n = self.k + 1
+        ih = _ih_coeffs(n)
+        # (n-1)! b_n on the p-th cell of its support, as integer u^t coefficients
+        pieces = [[sum(c * math.comb(n - 1, t) * (p - i) ** (n - 1 - t)
+                       for i, c in enumerate(ih[:p + 1]))
+                   for t in range(n)]
+                  for p in range(n)]
+        cells = [np.convolve(self.numerators,
+                             np.array([piece[t] for piece in pieces], dtype=object))
+                 for t in range(n)]
+        den = math.factorial(n - 1) * self.normalizer
+        return tuple(
+            np.array([[int(v) * math.perm(t, o) / den for v in cells[t]]
+                      for t in range(o, n)])
+            for o in range(n - 1))
+
     def d1(self, x: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Per-coordinate density factor of nu (or its derivative)."""
+        _check_deriv(deriv, self.k + 1)
+        table = self._spline_tables[deriv]
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        n = self.k + 1
-        half = n / 2.0
-        for off, w in zip(self.offsets, self.weights):
-            y = x - off
-            mask = np.abs(y) < half
-            if np.any(mask):
-                out[mask] += w * irwin_hall(y[mask], n, deriv)
-        return out
+        left = -self.half_support - (self.k + 1) / 2
+        cell = np.floor(x - left)
+        inside = (cell >= 0) & (cell < table.shape[1])
+        idx = np.where(inside, cell, 0).astype(np.intp)
+        u = x - (left + cell)
+        out = table[-1].take(idx)
+        for row in table[-2::-1]:
+            out *= u
+            out += row.take(idx)
+        return np.where(inside, out, 0.0)
 
     def d1_integral(self) -> float:
         """Exact integral of D1 via the Irwin-Hall CDF (should be 1)."""
@@ -177,8 +209,14 @@ class SmoothingScheme:
     def sample(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         """Draw n points of R^d from nu (product measure)."""
         x = rng.uniform(-self.R_bar, self.R_bar, size=(n, d))
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(): the same
+        # stream and arithmetic, without a fresh array per draw
+        buf = np.empty((n, d))
         for _ in range(self.k):
-            x += rng.uniform(-self.r_bar, self.r_bar, size=(n, d))
+            rng.random(out=buf)
+            buf *= 2 * self.r_bar
+            buf += -self.r_bar
+            x += buf
         return x
 
 
@@ -454,8 +492,8 @@ def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
                 + gam ** (1 - 8 / d - eps) * T ** eps * q ** (d / 2) / (r * r))
     js = [j for j in range(2, p, 2)]
     rows = []
-    for i, s in enumerate(s_grid):
-        F = f_mu(form, a, s, scheme, budget=budget)
+    F_col = f_mu_curve(form, a, s_grid, scheme, budget=budget)
+    for i, (s, F) in enumerate(zip(s_grid, F_col)):
         F0 = f_nu(form, a, s, scheme, samples=samples, seed=seed + 1000 + i,
                   workers=workers)
         fjs = [f_j(form, a, s, scheme, j, samples=samples,

@@ -119,6 +119,9 @@ def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
     """Mean/stderr of a sampler(rng, n) -> 1d array (real or complex), split
     over worker substreams whose (count, mean, M2 = sum |x - mean|^2) merge by
     Chan, Golub and LeVeque (1979): no E[x^2] - mean^2 cancellation."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
     def chunk(rng, n):
         vals = sampler(rng, n)
         mean = np.sum(vals) / len(vals)
@@ -200,6 +203,19 @@ def m0_functional(form: QuadraticForm, M: MinkowskiFunctional):
     return m0, w, v
 
 
+def _first_node(us: np.ndarray, c: np.ndarray, pred) -> np.ndarray:
+    """Per c, the first index i with pred(us[i] * c), or len(us) if none; pred
+    must hold on a suffix of the grid (us increasing, c > 0)."""
+    lo = np.zeros(len(c), dtype=np.intp)
+    hi = np.full(len(c), len(us), dtype=np.intp)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        hit = pred(us[np.minimum(mid, len(us) - 1)] * c)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit | (lo >= hi), lo, mid + 1)
+    return lo
+
+
 def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
                              I0: tuple[float, float], I: tuple[float, float],
                              samples: int = 10 ** 5, seed: int = 0,
@@ -209,7 +225,12 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
     |det Q|^{-1/2} (beta-alpha)/2 * int_0^inf u^{d-3} int_S I{M0(u eta) in I0} deta du
 
     with S the product of unit spheres in the positive and negative eigenblocks,
-    sampled by normalized Gaussians; the u-integral uses a trapezoid grid.
+    sampled by normalized Gaussians.  By homogeneity M0(u eta) = u c with
+    c = M0(eta) > 0, so the u-integral of a sample is the trapezoid sum of
+    u^{d-3} over the grid nodes with lo0 <= u c <= hi0.  Those nodes form one
+    run [i0, i1) of the grid, found per sample by a vectorized binary search on
+    the predicates u_i c >= lo0 and u_i c > hi0, and the sum is read off one
+    cumulative table as cum[i1] - cum[i0].
     """
     if not form.is_indefinite:
         raise ValueError("not indefinite")
@@ -228,6 +249,7 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
     trap_w = np.full(U_GRID_NODES, du)
     trap_w[0] = trap_w[-1] = du / 2
     upow = us ** (d - 3) if d != 3 else np.ones_like(us)
+    cum = np.concatenate(([0.0], np.cumsum(trap_w * upow)))
     area = sphere_area(n) * sphere_area(d - n)
     prefactor = (beta - alpha) / 2.0 / math.sqrt(abs(float(np.prod(form.eigenvalues)))
                                                  )
@@ -238,16 +260,10 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
         g1 /= np.linalg.norm(g1, axis=1, keepdims=True)
         g2 /= np.linalg.norm(g2, axis=1, keepdims=True)
         eta = np.concatenate([g1, g2], axis=1)
-        # M0(u * eta) = u * M0(eta) by homogeneity; per-sample integral of
-        # u^{d-3} over {u : u * c in I0} on the trapezoid grid
         c = M((eta * scale) @ v.T)
-        out = np.empty(n_samp)
-        chunk = max(1, (2 ** 22) // U_GRID_NODES)
-        for k in range(0, n_samp, chunk):
-            cc = c[k:k + chunk, None]
-            ind = (us[None, :] * cc >= lo0) & (us[None, :] * cc <= hi0)
-            out[k:k + chunk] = ind @ (trap_w * upow)
-        return out * area * prefactor
+        i0 = _first_node(us, c, lambda uc: uc >= lo0)
+        i1 = _first_node(us, c, lambda uc: uc > hi0)
+        return (cum[i1] - cum[i0]) * area * prefactor
 
     return mc_mean(sampler, samples, seed, workers)
 

@@ -209,6 +209,16 @@ def test_expansion_experiment(tmp_path, capsys, k_p):
     assert out["fitted"]["envelope"] > 0
 
 
+def test_expansion_zero_samples_exits_1(tmp_path, capsys):
+    p = tmp_path / "surd9.form"
+    p.write_text(FORM_SURD9)
+    rc = main(["expansion", "--form", str(p), "-p", "samples=0", "-p", "s_grid=150",
+               "-p", "R=4", "-p", "r=1", "-p", "T=1"])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "reason": "n_samples must be >= 1"}
+
+
 def test_thm51_experiment(tmp_path, capsys):
     p = tmp_path / "all2.form"
     p.write_text("kind: exact\n" + "\n".join(

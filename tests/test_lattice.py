@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_count, brute_points, brute_values
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
-from qflab.lattice import (count_ellipsoid, count_shell, dp_for_form,
-                           dp_window_values, enumerate_values)
+from qflab.lattice import (PRUNE_PAD_RTOL, _cell_values, count_ellipsoid,
+                           count_shell, diagonal_value_dp, dp_count_le,
+                           dp_for_form, dp_window_values, enumerate_values)
 from qflab.scalars import ExactScalar
 from qflab.volume import delta_curve, ellipsoid_volume
 
@@ -182,3 +184,153 @@ def test_enumerate_values_budget_refusal(identity2):
         enumerate_values(build_form(np.eye(3)), [0.0] * 3, 60, (0.0, 1.0),
                          budget=10 ** 4)
     assert err.value.required == 121 ** 3
+
+
+# ---------------------------------------------------------------------------
+# the box-bounded DP against the full-table build it replaced
+# ---------------------------------------------------------------------------
+
+
+def _full_shift_add(dst, src, offs, weight):
+    """dst[idx + offs] += weight * src[idx], for every in-range idx."""
+    src_slc, dst_slc = [], []
+    for size, o in zip(src.shape, offs):
+        o = int(o)
+        if abs(o) >= size:
+            return
+        if o >= 0:
+            src_slc.append(slice(0, size - o))
+            dst_slc.append(slice(o, size))
+        else:
+            src_slc.append(slice(-o, size))
+            dst_slc.append(slice(0, size + o))
+    if weight == 1:
+        dst[tuple(dst_slc)] += src[tuple(src_slc)]
+    else:
+        dst[tuple(dst_slc)] += weight * src[tuple(src_slc)]
+
+
+def _full_table_dp(diag, shift, m_ranges, cap=None, weights=None, dtype=None):
+    """The DP table as built by shift-adding the whole table for every
+    coordinate after seeding the table from the first one."""
+    d = len(diag)
+    basis_set = set()
+    for q in diag:
+        basis_set |= set(q.terms.keys())
+    basis = tuple(sorted(basis_set or {1}))
+    scales = []
+    for b in basis:
+        sc = 1
+        for j, q in enumerate(diag):
+            den = q.terms.get(b, Fraction(0)).denominator * (shift[j].denominator ** 2)
+            sc = sc * den // math.gcd(sc, den)
+        scales.append(sc)
+    contribs = []
+    for j, q in enumerate(diag):
+        lo, hi = m_ranges[j]
+        rows = np.empty((hi - lo + 1, len(basis)), dtype=np.int64)
+        for bi, b in enumerate(basis):
+            coef = q.terms.get(b, Fraction(0)) * scales[bi]
+            for mi, m in enumerate(range(lo, hi + 1)):
+                rows[mi, bi] = int(coef * (Fraction(m) - shift[j]) ** 2)
+        contribs.append(rows)
+    nonneg = all((rows >= 0).all() for rows in contribs)
+    offsets = tuple(int(sum(rows[:, bi].min() for rows in contribs))
+                    for bi in range(len(basis)))
+    highs = tuple(int(sum(rows[:, bi].max() for rows in contribs))
+                  for bi in range(len(basis)))
+    shape = tuple(h - o + 1 for h, o in zip(highs, offsets))
+    for rows in contribs:
+        rows -= rows.min(axis=0, keepdims=True)
+    pruned = cap is not None and nonneg
+    if pruned:
+        cap_pad = cap + PRUNE_PAD_RTOL * max(1.0, abs(cap)) + 1e-9
+        shape = tuple(min(shape[bi], max(math.floor(cap_pad * scales[bi] / math.sqrt(b))
+                                         + 1 - offsets[bi] + 1, 1))
+                      for bi, b in enumerate(basis))
+    if dtype is None:
+        if weights is None:
+            dtype = np.int64
+        else:
+            wdtypes = [np.asarray(w).dtype for w in weights]
+            dtype = object if any(dt == object for dt in wdtypes) else np.float64
+    values = _cell_values(shape, basis, scales, offsets)
+    cap_mask = values > cap_pad if pruned else None
+    table = np.zeros(shape, dtype=dtype)
+    for j in range(d):
+        rows = contribs[j]
+        w = None if weights is None else np.asarray(weights[j], dtype=dtype)
+        if j == 0:
+            for mi in range(rows.shape[0]):
+                idx = tuple(int(v) for v in rows[mi])
+                if all(0 <= i < n for i, n in zip(idx, shape)):
+                    table[idx] += (1 if w is None else w[mi])
+        else:
+            new = np.zeros_like(table)
+            for mi in range(rows.shape[0]):
+                _full_shift_add(new, table, rows[mi], 1 if w is None else w[mi])
+            table = new
+        if cap_mask is not None:
+            table[cap_mask] = 0
+    return table
+
+
+def _assert_same_table(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    if got.dtype == object:
+        assert got.tolist() == ref.tolist()
+        assert all(type(x) is type(y) or x == y == 0
+                   for x, y in zip(got.ravel(), ref.ravel()))
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
+SQRT2 = ExactScalar.sqrt(2)
+_POSITIVE = [ExactScalar(1) + SQRT2 * Fraction(k, 4) for k in range(4)]
+_INDEFINITE = [ExactScalar(1), -SQRT2, ExactScalar(Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("weights", ["counts", "object-ints", "fractions", "floats"])
+@pytest.mark.parametrize("case", ["pruned-positive", "unpruned-indefinite",
+                                  "rational-shift", "cap-below-all"])
+def test_dp_matches_full_table_reference(case, weights):
+    diag, shift, cap = {
+        "pruned-positive": (_POSITIVE, [Fraction(0)] * 4, 40.0),
+        "unpruned-indefinite": (_INDEFINITE, [Fraction(0)] * 3, 10.0),
+        "rational-shift": ([ExactScalar(1), ExactScalar(Fraction(3, 2)), ExactScalar(2)],
+                           [Fraction(1, 2), Fraction(1, 3), Fraction(0)], 30.0),
+        "cap-below-all": (_POSITIVE, [Fraction(1, 2)] * 4, 0.2),
+    }[case]
+    half = 4
+    m_ranges = [(-half, half)] * len(diag)
+    col = np.arange(1, 2 * half + 2) * (2 * half + 2 - np.arange(1, 2 * half + 2))
+    w, dtype = {
+        "counts": (None, None),
+        "object-ints": (None, object),
+        "fractions": ([np.array([Fraction(int(v), 97) for v in col], dtype=object)]
+                      * len(diag), None),
+        "floats": ([col / col.sum()] * len(diag), None),
+    }[weights]
+    got = diagonal_value_dp(diag, shift, m_ranges, cap=cap, weights=w,
+                            dtype=dtype).table
+    ref = _full_table_dp(diag, shift, m_ranges, cap=cap, weights=w, dtype=dtype)
+    _assert_same_table(got, ref)
+    if case == "cap-below-all":
+        assert not np.any(got)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3)),
+                min_size=1, max_size=4),
+       st.floats(0.5, 30.0))
+def test_dp_property_matches_full_table_and_brute(coords, cap):
+    """Random small exact diagonal forms q_j = a/b with shifts in Z/4."""
+    diag = [ExactScalar(Fraction(num, den)) for num, den, _ in coords]
+    shift = [Fraction(a4, 4) for _, _, a4 in coords]
+    form = diagonal_form(diag)
+    x = [float(v) for v in shift]
+    dp = dp_for_form(form, np.array(x), cap, 10 ** 8)
+    ref = _full_table_dp(diag, shift, dp.m_ranges, cap=cap)
+    _assert_same_table(dp.table, ref)
+    for s in (cap / 3, cap):
+        assert dp_count_le(dp, s) == brute_count(form.matrix, x, s)

@@ -59,6 +59,52 @@ def test_d1_is_cell_convolved_lattice_weights():
     assert np.allclose(direct, manual, atol=1e-10)
 
 
+def _exact_d1(scheme, x, order):
+    """Sum_m W(m) b_{k+1}^(order)(x - m) in exact rationals at the float x."""
+    n = scheme.k + 1
+    p = n - 1 - order
+    X = Fraction(x)
+    total = Fraction(0)
+    for off, num in zip(scheme.offsets, scheme.numerators):
+        y = X - int(off) + Fraction(n, 2)
+        if not 0 < y < n:
+            continue
+        total += num * sum((-1) ** i * math.comb(n, i) * (y - i) ** p
+                           for i in range(n) if y > i)
+    return total / (scheme.normalizer * math.factorial(p))
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_d1_matches_exact_rational_evaluation(k):
+    sch = build_scheme(12, 3, k)
+    sup = sch.continuous_support
+    knots = np.arange(-sup, sup + 0.5, 1.0)
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([knots, [sup, -sup, np.nextafter(sup, 0), 0.0],
+                         rng.uniform(-sup - 1, sup + 1, 300 - len(knots) - 4)])
+    for order in range(k):
+        exact = np.array([float(_exact_d1(sch, x, order)) for x in xs])
+        got = sch.d1(xs, order)
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_d1_rejects_bad_derivative_order():
+    sch = build_scheme(6, 2, 3)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sch.d1([0.0, 1.0], -1)
+    with pytest.raises(ValueError, match="needs n >= 5"):
+        sch.d1([0.0, 1.0], 3)
+
+
+def test_sample_matches_uniform_draws():
+    sch = build_scheme(12, 3, 4)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    ref = ref_rng.uniform(-sch.R_bar, sch.R_bar, size=(1000, 5))
+    for _ in range(sch.k):
+        ref += ref_rng.uniform(-sch.r_bar, sch.r_bar, size=(1000, 5))
+    assert sch.sample(rng, 1000, 5).tobytes() == ref.tobytes()
+
+
 def test_d1_core_and_mass():
     sch = build_scheme(30, 1, 6)
     assert sch.d1_integral() == pytest.approx(1.0, abs=1e-10)
@@ -199,6 +245,16 @@ def test_expansion_residual_p2_reduces_to_f_minus_f0(surd9):
         assert row["F_j"] == []
         assert row["residual"] == pytest.approx(float(row["F"]) - row["F0"].mean)
     assert rep["envelope"] > 0 and math.isfinite(rep["fitted_constant"])
+
+
+def test_expansion_residual_f_column_is_per_s_f_mu(surd9):
+    from qflab.smoothing import expansion_residual
+    scheme = build_scheme(6, 1, 6)
+    s_grid = [150.0, 100.0, 250.0]
+    rep = expansion_residual(surd9, [0.0] * 9, s_grid, scheme, 2,
+                             samples=2000, seed=1, T=2.0)
+    assert [row["F"] for row in rep["rows"]] == [
+        f_mu(surd9, [0.0] * 9, s, scheme) for s in s_grid]
 
 
 def test_expansion_residual_hypothesis_checks(surd9, identity2):

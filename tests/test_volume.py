@@ -5,10 +5,12 @@ import pytest
 
 from qflab.forms import build_form
 from qflab.util import spawn_rngs, worker_chunks
-from qflab.volume import (check_lemma82, delta_error, ellipsoid_volume,
-                          euclidean_functional, indefinite_limit_formula,
-                          indefinite_volume_mc, m0_functional,
-                          mc_ellipsoid_volume, mc_mean, sup_norm_functional,
+from qflab.volume import (U_GRID_NODES, U_MAX_SLACK, _arranged_eigen,
+                          check_lemma82, delta_error,
+                          ellipsoid_volume, euclidean_functional,
+                          indefinite_limit_formula, indefinite_volume_mc,
+                          m0_functional, mc_ellipsoid_volume, mc_mean,
+                          sphere_area, sup_norm_functional,
                           weighted_sup_functional)
 
 Q3 = build_form([[1, 0, 0], [0, -1, 0], [0, 0, -1]], normalize=False)
@@ -80,6 +82,56 @@ def test_limit_formula_det_scaling():
     assert scaled.mean == pytest.approx(base.mean, rel=0.05)
 
 
+def _dense_limit_formula(form, M, I0, I, samples, seed):
+    """The limit formula with a dense per-sample indicator over the u-grid."""
+    d = form.dim
+    w, v, (alpha, beta) = _arranged_eigen(form, I)
+    n = int(np.sum(w > 0))
+    scale = 1.0 / np.sqrt(np.abs(w))
+    lo0, hi0 = I0
+    u_max = M.sandwich_m * math.sqrt(d * form.q) * hi0 * U_MAX_SLACK
+    us = np.linspace(0.0, u_max, U_GRID_NODES)
+    du = us[1] - us[0]
+    trap_w = np.full(U_GRID_NODES, du)
+    trap_w[0] = trap_w[-1] = du / 2
+    upow = us ** (d - 3) if d != 3 else np.ones_like(us)
+    area = sphere_area(n) * sphere_area(d - n)
+    prefactor = (beta - alpha) / 2.0 / math.sqrt(abs(float(np.prod(form.eigenvalues))))
+
+    def sampler(rng, n_samp):
+        g1 = rng.standard_normal((n_samp, n))
+        g2 = rng.standard_normal((n_samp, d - n))
+        g1 /= np.linalg.norm(g1, axis=1, keepdims=True)
+        g2 /= np.linalg.norm(g2, axis=1, keepdims=True)
+        eta = np.concatenate([g1, g2], axis=1)
+        c = M((eta * scale) @ v.T)
+        out = np.empty(n_samp)
+        chunk = max(1, (2 ** 22) // U_GRID_NODES)
+        for k in range(0, n_samp, chunk):
+            cc = c[k:k + chunk, None]
+            ind = (us[None, :] * cc >= lo0) & (us[None, :] * cc <= hi0)
+            out[k:k + chunk] = ind @ (trap_w * upow)
+        return out * area * prefactor
+
+    return mc_mean(sampler, samples, seed, 1)
+
+
+Q5 = build_form(np.diag([1.0, 2.0, -1.0, -3.0, -0.5]), normalize=False)
+
+
+@pytest.mark.parametrize("form,functional,I0", [
+    (Q3, "sup", (0.0, 1.0)), (Q3, "sup", (0.5, 1.0)),
+    (Q5, "sup", (0.0, 1.0)), (Q5, "euclidean", (0.5, 1.0))],
+    ids=["q3", "q3-lo0", "q5", "q5-euclidean-lo0"])
+def test_limit_formula_matches_dense_indicator(form, functional, I0):
+    M = (sup_norm_functional() if functional == "sup"
+         else euclidean_functional(form.dim))
+    got = indefinite_limit_formula(form, M, I0, (-0.1, 0.2), samples=20000, seed=2)
+    ref = _dense_limit_formula(form, M, I0, (-0.1, 0.2), 20000, 2)
+    assert got.mean == pytest.approx(ref.mean, rel=1e-12, abs=0)
+    assert got.stderr == pytest.approx(ref.stderr, rel=1e-9, abs=1e-15 * ref.mean)
+
+
 def test_limit_formula_rejects_definite(identity2):
     with pytest.raises(ValueError, match="not indefinite"):
         indefinite_limit_formula(identity2, sup_norm_functional(),
@@ -134,6 +186,11 @@ def test_mc_mean_merge_matches_two_pass(sampler):
     # one substream: the mean is the plain sum over the samples
     vals = sampler(spawn_rngs(seed, 1)[0], n)
     assert mc_mean(sampler, n, seed, 1).mean == np.sum(vals) / n
+
+
+def test_mc_mean_rejects_empty_sample():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        mc_mean(_normal, 0, 0, 1)
 
 
 def test_r_convergence_to_limit():
