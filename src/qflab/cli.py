@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -36,9 +37,6 @@ from . import volume as vol_mod
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BUDGET = 2
-
-EXPERIMENT_KINDS = ("delta-curve", "gamma-curve", "gap-curve", "expansion",
-                    "thm51", "rationality", "volume-8", "raw-op")
 
 
 @dataclass
@@ -93,9 +91,6 @@ class ExperimentReport:
         out["wall_time"] = self.wall_time
         return json.dumps(out, indent=2, sort_keys=True, default=_jsonify)
 
-    def to_csv(self, columns: Optional[list[str]] = None) -> str:
-        return emit_plotdata(self, columns)
-
 
 def _jsonify(obj):
     if isinstance(obj, (np.integer,)):
@@ -132,16 +127,60 @@ def emit_plotdata(report: ExperimentReport, columns: Optional[list[str]] = None)
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations
+# parameter tables and experiment implementations
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()     # default of a key that must be given
 
-def _floats(params, key, default=None):
-    if key not in params:
-        if default is None:
+
+def _list(item, n=None):
+    """Parser of a non-empty tuple of `item`s, comma- or space-separated, with
+    exactly n entries when n is given."""
+    def parse(text) -> tuple:
+        values = tuple(item(x) for x in str(text).replace(",", " ").split())
+        if not values:
+            raise ValueError("empty list")
+        if n and len(values) != n:
+            raise ValueError(f"needs {n} entries, got {len(values)}")
+        return values
+    return parse
+
+
+_floats, _pair = _list(float), _list(float, 2)
+NUM = (float, REQUIRED)
+GRID = (_floats, REQUIRED)
+SHIFT = (_floats, None)     # zeros by default; must have form.dim entries
+
+# A runner and its parameters, key -> (parser, default).  The runner is called
+# as run(cfg, form, **values); form is None when `form` is false.
+Table = namedtuple("Table", "run keys form", defaults=(True,))
+
+
+def _parse(keys: dict, params: dict, form: Optional[QuadraticForm]) -> dict:
+    """Typed values of `params` under one table: unknown, missing and
+    malformed keys and a shift of the wrong length raise ValueError."""
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(map(repr, unknown))}; "
+                         f"known: {sorted(keys)}")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key in params:
+            try:
+                values[key] = parse(params[key])
+            except ValueError as exc:
+                raise ValueError(f"parameter {key!r}: {exc}") from None
+        elif default is REQUIRED:
             raise ValueError(f"missing parameter {key!r}")
-        return default
-    return [float(x) for x in str(params[key]).replace(",", " ").split()]
+        else:
+            values[key] = default
+    if "a" in keys:
+        if values["a"] is None:
+            values["a"] = (0.0,) * form.dim
+        elif len(values["a"]) != form.dim:
+            raise ValueError(f"parameter 'a': needs {form.dim} entries (the "
+                             f"form's dimension), got {len(values['a'])}")
+    return values
 
 
 def _load_form(cfg: ExperimentConfig) -> QuadraticForm:
@@ -151,63 +190,48 @@ def _load_form(cfg: ExperimentConfig) -> QuadraticForm:
     return parse_form_file(text)
 
 
-def _run_delta_curve(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    s_list = _floats(cfg.params, "s_grid")
-    a = _floats(cfg.params, "a", [0.0] * form.dim)
-    rows = vol_mod.delta_curve(form, a, s_list, budget=cfg.budget)
-    return rows, {}, {}
+# experiment kinds: run(cfg, form, **values) -> (rows, fitted, verdicts)
 
 
-def _run_gamma_curve(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    s_list = _floats(cfg.params, "s_grid")
-    T = float(cfg.params.get("T", 4.0))
-    a_res = int(cfg.params.get("a_res", 96))
+def _run_delta_curve(cfg, form, s_grid, a):
+    return vol_mod.delta_curve(form, a, s_grid, budget=cfg.budget), {}, {}
+
+
+def _run_gamma_curve(cfg, form, s_grid, T, a_res):
     rows = []
-    for s in s_list:
+    for s in s_grid:
         g = trig_mod.gamma_estimate(form, s, T, a_res=a_res)
         rows.append({"s": s, "T": T, "gamma": g.gamma, "t_star": g.t_star})
     return rows, {}, {}
 
 
-def _run_gap_curve(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    a = _floats(cfg.params, "a", [0.0] * form.dim)
+def _run_gap_positive(cfg, form, tau_grid, horizon, a):
     rows = []
-    if form.is_positive:
-        horizon = float(cfg.params.get("horizon", 50.0))
-        for tau in _floats(cfg.params, "tau_grid"):
-            rep = gaps_mod.max_gap_positive(form, a, tau, horizon,
-                                            budget=cfg.budget)
-            rows.append({"tau": tau, "horizon": horizon,
-                         "max_gap": rep.max_gap, "n_values": rep.n_values,
-                         "gap_lo": rep.achieving_pair[0],
-                         "gap_hi": rep.achieving_pair[1]})
-    else:
-        window = _floats(cfg.params, "window")
-        for r in _floats(cfg.params, "r_grid"):
-            rep = gaps_mod.max_gap_indefinite(form, a, r, tuple(window),
-                                              budget=cfg.budget)
-            rows.append({"r": r, "d_r": rep["d_r"],
-                         "spectrum_size": rep["spectrum_size"],
-                         "gap_lo": rep["achieving_pair"][0],
-                         "gap_hi": rep["achieving_pair"][1]})
+    for tau in tau_grid:
+        rep = gaps_mod.max_gap_positive(form, a, tau, horizon, budget=cfg.budget)
+        rows.append({"tau": tau, "horizon": horizon,
+                     "max_gap": rep.max_gap, "n_values": rep.n_values,
+                     "gap_lo": rep.achieving_pair[0],
+                     "gap_hi": rep.achieving_pair[1]})
     return rows, {}, {}
 
 
-def _run_expansion(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    a = _floats(cfg.params, "a", [0.0] * form.dim)
-    scheme = smooth_mod.build_scheme(float(cfg.params.get("R", 12)),
-                                     float(cfg.params.get("r", 3)),
-                                     int(cfg.params.get("k", 8)))
-    p = int(cfg.params.get("p", 3))
-    samples = int(cfg.params.get("samples", 10 ** 6))
+def _run_gap_indefinite(cfg, form, r_grid, window, a):
+    rows = []
+    for r in r_grid:
+        rep = gaps_mod.max_gap_indefinite(form, a, r, window, budget=cfg.budget)
+        rows.append({"r": r, "d_r": rep["d_r"],
+                     "spectrum_size": rep["spectrum_size"],
+                     "gap_lo": rep["achieving_pair"][0],
+                     "gap_hi": rep["achieving_pair"][1]})
+    return rows, {}, {}
+
+
+def _run_expansion(cfg, form, s_grid, R, r, k, p, samples, T, a):
+    scheme = smooth_mod.build_scheme(R, r, k)
     rep = smooth_mod.expansion_residual(
-        form, a, _floats(cfg.params, "s_grid"), scheme, p,
-        samples=samples, seed=cfg.seed, workers=cfg.workers,
-        T=float(cfg.params.get("T", 4.0)), budget=cfg.budget)
+        form, a, s_grid, scheme, p, samples=samples, seed=cfg.seed,
+        workers=cfg.workers, T=T, budget=cfg.budget)
     rows = []
     for row in rep["rows"]:
         rows.append({"s": row["s"], "F": float(row["F"]),
@@ -219,20 +243,16 @@ def _run_expansion(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
     return rows, fitted, {}
 
 
-def _run_thm51(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    a = _floats(cfg.params, "a", [0.0] * form.dim)
-    s = float(cfg.params.get("s", 100.0))
-    kappa = float(cfg.params.get("kappa", form.dim / 2.0))
-    alpha = float(cfg.params.get("alpha", 0.0))
-    lam = cfg.params.get("Lambda")
-    if lam is None:
+def _run_thm51(cfg, form, s, T_grid, kappa, alpha, Lambda, a):
+    if kappa is None:
+        kappa = form.dim / 2.0
+    if Lambda is None:
         chk = trig_mod.check_basic_inequality(form, a, s, seed=cfg.seed)
-        lam = chk["lambda_fitted"]
-    lam = float(lam)
+        Lambda = chk["lambda_fitted"]
+    lam = float(Lambda)
     rows = []
     viols = 0
-    for T in _floats(cfg.params, "T_grid", [2.0, 4.0, 8.0]):
+    for T in T_grid:
         prof = trig_mod.phi_profile(form, a, s, T)
         J = bounds_mod.integrate_J(prof, s, T, alpha)
         gamma = float(np.max(prof.values))
@@ -249,32 +269,21 @@ def _run_thm51(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
     return rows, fitted, {"dichotomy_violations": viols}
 
 
-def _run_rationality(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    probe = rat_mod.rationality_probe(
-        form,
-        float(cfg.params.get("delta0", 0.5)),
-        float(cfg.params.get("delta", 4.0)),
-        _floats(cfg.params, "r_schedule", [10.0, 20.0, 40.0]),
-        k=int(cfg.params.get("k", 1)))
+def _run_rationality(cfg, form, delta0, delta, r_schedule, k):
+    probe = rat_mod.rationality_probe(form, delta0, delta, r_schedule, k=k)
     rows = [{"r": r, "sup_phi": v} for r, v in probe.curve]
     return rows, {}, {"verdict": probe.verdict,
                       "exact_classification": str(form.rationality)}
 
 
-def _run_volume8(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    form = _load_form(cfg)
-    a = _floats(cfg.params, "a", [0.0] * form.dim)
-    I0 = tuple(_floats(cfg.params, "I0", [0.0, 1.0]))
-    I = tuple(_floats(cfg.params, "I", [-0.1, 0.1]))
-    samples = int(cfg.params.get("samples", 10 ** 6))
+def _run_volume8(cfg, form, R_grid, I0, I, samples, a):
     M = vol_mod.sup_norm_functional()
     lim = vol_mod.indefinite_limit_formula(form, M, I0, I,
                                            samples=max(samples // 10, 1000),
                                            seed=cfg.seed, workers=cfg.workers)
     rows = []
     d = form.dim
-    for R in _floats(cfg.params, "R_grid", [8.0, 16.0, 32.0, 64.0]):
+    for R in R_grid:
         mc = vol_mod.indefinite_volume_mc(form, a, M, R, I0, I,
                                           samples=samples, seed=cfg.seed,
                                           workers=cfg.workers)
@@ -285,149 +294,148 @@ def _run_volume8(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
     return rows, fitted, {}
 
 
-_RAW_OPS = {}
+_KINDS = {
+    "delta-curve": Table(_run_delta_curve, {"s_grid": GRID, "a": SHIFT}),
+    "gamma-curve": Table(_run_gamma_curve, {"s_grid": GRID, "T": (float, 4.0),
+                                            "a_res": (int, 96)}),
+    # indexed by form.is_positive
+    "gap-curve": (Table(_run_gap_indefinite, {"r_grid": GRID,
+                                              "window": (_pair, REQUIRED),
+                                              "a": SHIFT}),
+                  Table(_run_gap_positive, {"tau_grid": GRID,
+                                            "horizon": (float, 50.0),
+                                            "a": SHIFT})),
+    "expansion": Table(_run_expansion, {
+        "s_grid": GRID, "R": (float, 12.0), "r": (float, 3.0), "k": (int, 8),
+        "p": (int, 3), "samples": (int, 10 ** 6), "T": (float, 4.0),
+        "a": SHIFT}),
+    "thm51": Table(_run_thm51, {
+        "s": (float, 100.0), "T_grid": (_floats, (2.0, 4.0, 8.0)),
+        "kappa": (float, None), "alpha": (float, 0.0),
+        "Lambda": (float, None), "a": SHIFT}),
+    "rationality": Table(_run_rationality, {
+        "delta0": (float, 0.5), "delta": (float, 4.0),
+        "r_schedule": (_floats, (10.0, 20.0, 40.0)), "k": (int, 1)}),
+    "volume-8": Table(_run_volume8, {
+        "R_grid": (_floats, (8.0, 16.0, 32.0, 64.0)),
+        "I0": (_pair, (0.0, 1.0)), "I": (_pair, (-0.1, 0.1)),
+        "samples": (int, 10 ** 6), "a": SHIFT}),
+}
+EXPERIMENT_KINDS = (*_KINDS, "raw-op")
 
 
-def _raw_op(name):
-    def deco(fn):
-        _RAW_OPS[name] = fn
-        return fn
-    return deco
+# raw ops: run(cfg, form, **values) -> rows
 
 
-@_raw_op("count-ellipsoid")
-def _rawop_count(cfg, form, params):
-    a = _floats(params, "a", [0.0] * form.dim)
-    res = lattice_mod.count_ellipsoid(form, a, float(params["s"]),
-                                      budget=cfg.budget)
+def _op_count_ellipsoid(cfg, form, s, a):
+    res = lattice_mod.count_ellipsoid(form, a, s, budget=cfg.budget)
     return [{"s": res.s, "count": res.count, "method": res.method,
              "visited": res.visited}]
 
 
-@_raw_op("count-shell")
-def _rawop_shell(cfg, form, params):
-    a = _floats(params, "a", [0.0] * form.dim)
-    res = lattice_mod.count_shell(form, a, float(params["tau"]),
-                                  float(params["delta"]), budget=cfg.budget)
+def _op_count_shell(cfg, form, tau, delta, a):
+    res = lattice_mod.count_shell(form, a, tau, delta, budget=cfg.budget)
     return [{"count": res.count, "method": res.method}]
 
 
-@_raw_op("enumerate-values")
-def _rawop_values(cfg, form, params):
-    a = _floats(params, "a", [0.0] * form.dim)
-    window = tuple(_floats(params, "window"))
-    spectrum = lattice_mod.enumerate_values(form, a, float(params["r"]),
-                                            window, budget=cfg.budget)
+def _op_enumerate_values(cfg, form, r, window, a):
+    spectrum = lattice_mod.enumerate_values(form, a, r, window, budget=cfg.budget)
     return [{"value": float(v), "multiplicity": int(m)}
             for v, m in zip(spectrum.values, spectrum.multiplicities)]
 
 
-@_raw_op("ellipsoid-volume")
-def _rawop_vol(cfg, form, params):
-    return [{"volume": vol_mod.ellipsoid_volume(form, float(params["s"]))}]
-
-
-@_raw_op("delta-error")
-def _rawop_delta(cfg, form, params):
-    a = _floats(params, "a", [0.0] * form.dim)
-    return [{"delta": vol_mod.delta_error(form, a, float(params["s"]),
-                                          budget=cfg.budget)}]
-
-
-@_raw_op("phi")
-def _rawop_phi(cfg, form, params):
-    a = _floats(params, "a", [0.0] * form.dim)
-    val = trig_mod.phi(form, a, float(params["t"]), float(params["s"]),
-                       mode=params.get("mode", "auto"), budget=cfg.budget,
-                       seed=cfg.seed)
+def _op_phi(cfg, form, t, s, mode, a):
+    val = trig_mod.phi(form, a, t, s, mode=mode, budget=cfg.budget, seed=cfg.seed)
     if isinstance(val, tuple):
         return [{"phi": val[0], "stderr": val[1]}]
     return [{"phi": val}]
 
 
-@_raw_op("phi-symmetrized")
-def _rawop_phisym(cfg, form, params):
-    return [{"phi_sym": trig_mod.phi_symmetrized(
-        form, float(params["t"]), float(params["r"]),
-        int(params.get("k", 1)), budget=cfg.budget)}]
-
-
-@_raw_op("theta")
-def _rawop_theta(cfg, form, params):
-    return [{"theta": bounds_mod.theta(int(params["s"]))}]
-
-
-@_raw_op("mm")
-def _rawop_mm(cfg, form, params):
-    return [{"mm": trig_mod.mm(float(params["t"]), float(params["s"]))}]
-
-
-@_raw_op("rho-of-s")
-def _rawop_rho(cfg, form, params):
-    return [{"rho": trig_mod.rho_of_s(float(params["s"]), float(params["T"]),
-                                      float(params["gamma"]),
-                                      int(params["d"]), float(params["eps"]))}]
-
-
-@_raw_op("dirichlet-approx")
-def _rawop_dirichlet(cfg, form, params):
-    v = _floats(params, "v")
-    out = rat_mod.dirichlet_approx(v, int(params["N"]))
+def _op_dirichlet_approx(cfg, form, v, N):
+    out = rat_mod.dirichlet_approx(v, N)
     return [{"q": out["q"], "u": " ".join(str(int(x)) for x in out["u"]),
              "error": out["error"]}]
 
 
-@_raw_op("count-H")
-def _rawop_counth(cfg, form, params):
-    return [{"count_H": rat_mod.count_H(form, float(params["t"]),
-                                        float(params["r"]),
-                                        budget=cfg.budget)}]
-
-
-@_raw_op("successive-minima")
-def _rawop_minima(cfg, form, params):
-    res = rat_mod.successive_minima(form, float(params["t"]),
-                                    float(params["r"]),
-                                    mode=params.get("mode", "reduction"))
+def _op_successive_minima(cfg, form, t, r, mode):
+    res = rat_mod.successive_minima(form, t, r, mode=mode)
     return [{"index": i + 1, "minimum": m, "quality": res.quality,
              "mode": res.mode} for i, m in enumerate(res.minima)]
 
 
-@_raw_op("moments-pi")
-def _rawop_moments(cfg, form, params):
-    orders = [int(x) for x in str(params["eta"]).replace(",", " ").split()]
-    val = smooth_mod.moments_pi(int(params["k"]), tuple(orders))
+def _op_moments_pi(cfg, form, k, eta):
+    val = smooth_mod.moments_pi(k, eta)
     return [{"moment": float(val), "exact": str(val)}]
 
 
-def _run_raw_op(cfg: ExperimentConfig) -> tuple[list, dict, dict]:
-    op = cfg.params.get("op")
-    if op not in _RAW_OPS:
-        raise ValueError(f"unknown raw op {op!r}; known: {sorted(_RAW_OPS)}")
-    needs_form = op not in ("theta", "mm", "rho-of-s", "dirichlet-approx",
-                            "moments-pi")
-    form = _load_form(cfg) if needs_form else None
-    rows = _RAW_OPS[op](cfg, form, cfg.params)
-    return rows, {}, {}
-
-
-_RUNNERS = {
-    "delta-curve": _run_delta_curve,
-    "gamma-curve": _run_gamma_curve,
-    "gap-curve": _run_gap_curve,
-    "expansion": _run_expansion,
-    "thm51": _run_thm51,
-    "rationality": _run_rationality,
-    "volume-8": _run_volume8,
-    "raw-op": _run_raw_op,
+_RAW_OPS = {
+    "count-ellipsoid": Table(_op_count_ellipsoid, {"s": NUM, "a": SHIFT}),
+    "count-shell": Table(_op_count_shell, {"tau": NUM, "delta": NUM,
+                                           "a": SHIFT}),
+    "enumerate-values": Table(_op_enumerate_values, {
+        "r": NUM, "window": (_pair, REQUIRED), "a": SHIFT}),
+    "ellipsoid-volume": Table(
+        lambda cfg, form, s: [{"volume": vol_mod.ellipsoid_volume(form, s)}],
+        {"s": NUM}),
+    "delta-error": Table(
+        lambda cfg, form, s, a: [{"delta": vol_mod.delta_error(
+            form, a, s, budget=cfg.budget)}],
+        {"s": NUM, "a": SHIFT}),
+    "phi": Table(_op_phi, {"t": NUM, "s": NUM, "mode": (str, "auto"),
+                           "a": SHIFT}),
+    "phi-symmetrized": Table(
+        lambda cfg, form, t, r, k: [{"phi_sym": trig_mod.phi_symmetrized(
+            form, t, r, k, budget=cfg.budget)}],
+        {"t": NUM, "r": NUM, "k": (int, 1)}),
+    "theta": Table(lambda cfg, form, s: [{"theta": bounds_mod.theta(s)}],
+                   {"s": (int, REQUIRED)}, form=False),
+    "mm": Table(lambda cfg, form, t, s: [{"mm": trig_mod.mm(t, s)}],
+                {"t": NUM, "s": NUM}, form=False),
+    "rho-of-s": Table(
+        lambda cfg, form, s, T, gamma, d, eps: [{"rho": trig_mod.rho_of_s(
+            s, T, gamma, d, eps)}],
+        {"s": NUM, "T": NUM, "gamma": NUM, "d": (int, REQUIRED), "eps": NUM},
+        form=False),
+    "dirichlet-approx": Table(_op_dirichlet_approx, {
+        "v": GRID, "N": (int, REQUIRED)}, form=False),
+    "count-H": Table(
+        lambda cfg, form, t, r: [{"count_H": rat_mod.count_H(
+            form, t, r, budget=cfg.budget)}],
+        {"t": NUM, "r": NUM}),
+    "successive-minima": Table(_op_successive_minima, {
+        "t": NUM, "r": NUM, "mode": (str, "reduction")}),
+    "moments-pi": Table(_op_moments_pi, {"k": (int, REQUIRED),
+                                         "eta": (_list(int), REQUIRED)},
+                        form=False),
 }
+
+
+def _resolve(cfg: ExperimentConfig) -> tuple[Table, Optional[QuadraticForm], dict]:
+    """cfg's table, its form (None when the table takes none) and the typed
+    values of cfg.params, parsed once.  raw-op's `op` picks the op's table,
+    and gap-curve's table follows the form's signature."""
+    params = dict(cfg.params)
+    if cfg.kind == "raw-op":
+        op = params.pop("op", None)
+        if op not in _RAW_OPS:
+            raise ValueError(f"unknown raw op {op!r}; known: {sorted(_RAW_OPS)}")
+        table = _RAW_OPS[op]
+        form = _load_form(cfg) if table.form else None
+    else:
+        form = _load_form(cfg)
+        table = _KINDS[cfg.kind]
+        if not isinstance(table, Table):
+            table = table[form.is_positive]
+    return table, form, _parse(table.keys, params, form)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch one experiment; deterministic for fixed (seed, workers)."""
     cfg.validate()
     t0 = time.perf_counter()
-    rows, fitted, verdicts = _RUNNERS[cfg.kind](cfg)
+    table, form, values = _resolve(cfg)
+    out = table.run(cfg, form, **values)
+    rows, fitted, verdicts = (out, {}, {}) if cfg.kind == "raw-op" else out
     return ExperimentReport(config=cfg.resolved(), rows=rows, fitted=fitted,
                             verdicts=verdicts, wall_time=time.perf_counter() - t0)
 
@@ -439,6 +447,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _config_from_file(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
+    parser.optionxform = str    # keys are case-sensitive: T, R, I0, Lambda, N
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path}")
@@ -465,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="experiment kind (or give --config)")
     ap.add_argument("--config", help="INI config file with sections "
                                      "[experiment], [params], [run]")
-    ap.add_argument("--form", help="form file (kind: exact|float header)")
+    ap.add_argument("--form", dest="form_path",
+                    help="form file (kind: exact|float header)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--budget", type=int, default=None)
@@ -482,26 +492,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _config_from_file(args.config) if args.config else ExperimentConfig(kind="raw-op")
-        if args.kind:
-            cfg.kind = args.kind
-        if args.form:
-            cfg.form_path = args.form
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.budget is not None:
-            cfg.budget = args.budget
-        if args.out:
-            cfg.out = args.out
-        if args.format:
-            cfg.format = args.format
+        for name in ("kind", "form_path", "seed", "workers", "budget", "out",
+                     "format"):
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         for kv in args.param:
             if "=" not in kv:
                 raise ValueError(f"parameter {kv!r} is not KEY=VALUE")
             key, val = kv.split("=", 1)
             cfg.params[key.strip()] = val.strip()
         report = run(cfg)
+        if cfg.format == "csv":
+            cols = args.columns.split(",") if args.columns else None
+            text = emit_plotdata(report, cols)
+        else:
+            text = report.to_json() + "\n"
+        if cfg.out:
+            Path(cfg.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except BudgetExceededError as exc:
         print(json.dumps({"error": "budget-exceeded", "reason": str(exc),
                           "visited": exc.visited, "required": exc.required}),
@@ -511,16 +520,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "validation", "reason": str(exc)}),
               file=sys.stderr)
         return EXIT_VALIDATION
-
-    if cfg.format == "csv":
-        cols = args.columns.split(",") if args.columns else None
-        text = report.to_csv(cols)
-    else:
-        text = report.to_json() + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

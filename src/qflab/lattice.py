@@ -149,7 +149,7 @@ def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
 
 
 def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    Y = X.astype(float) - a
+    Y = np.asarray(X, dtype=float) - a
     return np.einsum("ij,jk,ik->i", Y, mat, Y)
 
 

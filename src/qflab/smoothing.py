@@ -72,15 +72,6 @@ def irwin_hall(x: np.ndarray, n: int, deriv: int = 0) -> np.ndarray:
     return out / math.factorial(p)
 
 
-def irwin_hall_cdf(x: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(x, dtype=float) + n / 2.0
-    out = np.zeros_like(y)
-    for i, c in enumerate(_ih_coeffs(n)):
-        t = np.clip(y - i, 0.0, None)
-        out += c * t ** n
-    return out / math.factorial(n)
-
-
 @lru_cache(maxsize=None)
 def _uniform_cell_moments(fold: int, max_order: int) -> tuple[Fraction, ...]:
     """Moments E[S^t] of a sum of `fold` iid uniforms on (-1/2, 1/2), exact."""
@@ -199,12 +190,10 @@ class SmoothingScheme:
         return np.where(inside, out, 0.0)
 
     def d1_integral(self) -> float:
-        """Exact integral of D1 via the Irwin-Hall CDF (should be 1)."""
-        hi = self.continuous_support
-        n = self.k + 1
-        return float(sum(w * (irwin_hall_cdf(np.array([hi - off]), n)[0]
-                              - irwin_hall_cdf(np.array([-hi - off]), n)[0])
-                         for off, w in zip(self.offsets, self.weights)))
+        """Integral of D1 from its spline table, sum over cells of
+        sum_t a_t / (t + 1) (should be 1)."""
+        table = self._spline_tables[0]
+        return float(np.sum(table.sum(axis=1) / np.arange(1, len(table) + 1)))
 
     def sample(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         """Draw n points of R^d from nu (product measure)."""
@@ -425,8 +414,7 @@ def _nu_sampler(form: QuadraticForm, a: np.ndarray, s: float,
 
     def sampler(rng, n):
         X = scheme.sample(rng, n, d)
-        Y = X - a
-        ind = np.einsum("ij,jk,ik->i", Y, mat, Y) <= s
+        ind = quad_values(mat, a, X) <= s
         vals = np.zeros(n)
         if np.any(ind):
             vals[ind] = weight_fn(X[ind])

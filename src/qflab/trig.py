@@ -140,8 +140,8 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
             lambda X: np.exp(1j * t * quad_values(form.matrix, a, X)), budget))
     if mode == "mc":
         def sampler(rng, cnt):
-            Y = rng.integers(-n, n + 1, size=(cnt, d, table.fold)).sum(axis=2) - a
-            return np.exp(1j * t * np.einsum("ij,jk,ik->i", Y, form.matrix, Y))
+            X = rng.integers(-n, n + 1, size=(cnt, d, table.fold)).sum(axis=2)
+            return np.exp(1j * t * quad_values(form.matrix, a, X))
 
         est = mc_mean(sampler, samples, seed, workers)
         return abs(est.mean), est.stderr   # modulus bias is O(stderr^2)

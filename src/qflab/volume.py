@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .forms import QuadraticForm
-from .lattice import count_ellipsoid, count_ellipsoid_grid
+from .lattice import count_ellipsoid, count_ellipsoid_grid, quad_values
 from .util import spawn_rngs, worker_chunks
 
 U_GRID_NODES = 2048
@@ -100,6 +100,8 @@ def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
     """Delta(s) on an s-grid; one count pass, sized for the largest s, serves
     every grid point."""
     s_list = [float(s) for s in s_list]
+    if any(s <= 0 for s in s_list):
+        raise ValueError("s must be > 0")
     counts, _, _ = count_ellipsoid_grid(form, a, s_list, budget=budget)
     rows = []
     for s, cnt in zip(s_list, counts):
@@ -165,8 +167,7 @@ def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,
     def sampler(rng, n):
         x = rng.uniform(-half, half, size=(n, d))
         mvals = M(x)
-        y = x - a
-        q = np.einsum("ij,jk,ik->i", y, mat, y)
+        q = quad_values(mat, a, x)
         ind = ((mvals >= R * lo0) & (mvals <= R * hi0)
                & (q > alpha) & (q <= beta))
         return ind.astype(float) * box_vol
@@ -322,7 +323,7 @@ def mc_ellipsoid_volume(form: QuadraticForm, s: float, samples: int = 10 ** 5,
 
     def sampler(rng, n):
         x = rng.uniform(-half, half, size=(n, d))
-        vals = np.einsum("ij,jk,ik->i", x, mat, x)
+        vals = quad_values(mat, 0.0, x)
         return (vals <= s).astype(float) * box_vol
 
     return mc_mean(sampler, samples, seed, workers)

@@ -1,10 +1,14 @@
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qflab
+from qflab import cli
 from qflab.cli import (EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION,
                        ExperimentConfig, emit_plotdata, main, run)
 
@@ -241,3 +245,182 @@ def test_volume8_experiment(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["rows"]) == 2
     assert out["fitted"]["limit"] == pytest.approx(2 * 3.14159265 * 0.2, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# parameter tables
+# ---------------------------------------------------------------------------
+
+FORM_I9 = "kind: exact\n" + "\n".join(
+    ("1" if i == j else "0") for i in range(9) for j in range(9))
+README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _tables():
+    """Every parameter table under its row label in README's key table."""
+    out = {}
+    for kind, table in cli._KINDS.items():
+        if isinstance(table, cli.Table):
+            out[kind] = table
+        else:
+            out[f"{kind}, other forms"], out[f"{kind}, positive form"] = table
+    out.update({f"raw-op {op}": table for op, table in cli._RAW_OPS.items()})
+    return out
+
+
+# label -> (form text or None, a value for each key without a default)
+DEFAULT_RUNS = {
+    "delta-curve": (FORM_I2, {"s_grid": "9"}),
+    "gamma-curve": (FORM_I2, {"s_grid": "9"}),
+    "gap-curve, positive form": (FORM_I2, {"tau_grid": "9"}),
+    "gap-curve, other forms": (FORM_HYP, {"r_grid": "5", "window": "-4,4"}),
+    "expansion": (FORM_I9, {"s_grid": "9"}),
+    "thm51": (FORM_I9, {}),
+    "rationality": (FORM_I2, {}),
+    "volume-8": (FORM_Q3, {}),
+    "raw-op count-ellipsoid": (FORM_I2, {"s": "9"}),
+    "raw-op count-shell": (FORM_I2, {"tau": "9", "delta": "1"}),
+    "raw-op enumerate-values": (FORM_I2, {"r": "3", "window": "0,5"}),
+    "raw-op ellipsoid-volume": (FORM_I2, {"s": "9"}),
+    "raw-op delta-error": (FORM_I2, {"s": "9"}),
+    "raw-op phi": (FORM_I2, {"t": "0.5", "s": "9"}),
+    "raw-op phi-symmetrized": (FORM_I2, {"t": "0.5", "r": "3"}),
+    "raw-op theta": (None, {"s": "3"}),
+    "raw-op mm": (None, {"t": "2", "s": "100"}),
+    "raw-op rho-of-s": (None, {"s": "100", "T": "10", "gamma": "0", "d": "9",
+                               "eps": "0.05"}),
+    "raw-op dirichlet-approx": (None, {"v": "1.41421356", "N": "10"}),
+    "raw-op count-H": (FORM_I2, {"t": "0.5", "r": "3"}),
+    "raw-op successive-minima": (FORM_I2, {"t": "0.5", "r": "3"}),
+    "raw-op moments-pi": (None, {"k": "2", "eta": "2,4"}),
+}
+
+
+def test_default_runs_cover_every_table():
+    assert sorted(DEFAULT_RUNS) == sorted(_tables())
+
+
+@pytest.mark.parametrize("label", sorted(DEFAULT_RUNS))
+def test_every_table_runs_on_its_defaults(tmp_path, capsys, label):
+    form_text, params = DEFAULT_RUNS[label]
+    table = _tables()[label]
+    # only the keys that have no default are given
+    assert set(params) == {k for k, (_, d) in table.keys.items()
+                           if d is cli.REQUIRED}
+    kind, _, op = label.partition(" ")
+    argv = [kind.rstrip(",")]
+    if kind == "raw-op":
+        argv += ["-p", f"op={op}"]
+    if form_text is not None:
+        p = tmp_path / "q.form"
+        p.write_text(form_text)
+        argv += ["--form", str(p)]
+    for key, value in params.items():
+        argv += ["-p", f"{key}={value}"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"]
+
+
+def _readme_key_rows():
+    text = README.read_text()
+    block = text[text.index("| kind "):].split("\n\n")[0]
+    rows = {}
+    for line in block.splitlines()[2:]:
+        label, keys = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[label] = re.findall(r"`([^`]*)`", keys)
+    return rows
+
+
+def test_readme_key_table_matches_the_tables():
+    rows = _readme_key_rows()
+    assert rows.pop("raw-op") == ["op"]
+    tables = _tables()
+    assert sorted(rows) == sorted(tables)
+    for label, tokens in rows.items():
+        keys = tables[label].keys
+        documented = dict(t.partition("=")[::2] for t in tokens)
+        assert sorted(documented) == sorted(keys), label
+        for key, default_text in documented.items():
+            parse, default = keys[key]
+            if default_text:
+                assert parse(default_text) == default, (label, key)
+            else:
+                assert default is cli.REQUIRED or default is None, (label, key)
+
+
+def _fails(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_VALIDATION
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "validation"
+    return err["reason"]
+
+
+def test_misspelt_key_exits_1(i2_file, capsys):
+    reason = _fails(["gamma-curve", "--form", i2_file, "-p", "s_grid=16",
+                     "-p", "a-res=0"], capsys)
+    assert reason.startswith("unknown parameter 'a-res'; known: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta-curve", "-p", "s_grid=25"],
+    ["gap-curve", "-p", "r_grid=10", "-p", "window=-20,20"],
+], ids=["delta-curve", "gap-curve-indefinite"])
+def test_short_shift_exits_1(tmp_path, capsys, argv):
+    p = tmp_path / "q.form"
+    p.write_text(FORM_HYP if argv[0] == "gap-curve" else FORM_I2)
+    reason = _fails([*argv, "--form", str(p), "-p", "a=0.5"], capsys)
+    assert reason == ("parameter 'a': needs 2 entries (the form's dimension), "
+                      "got 1")
+
+
+@pytest.mark.parametrize("param,reason", [
+    ("s_grid=", "parameter 's_grid': empty list"),
+    ("s_grid=0,25", "s must be > 0"),
+    ("s_grid=1,x", "parameter 's_grid': could not convert string to float: 'x'"),
+])
+def test_bad_s_grid_exits_1(i2_file, capsys, param, reason):
+    assert _fails(["delta-curve", "--form", i2_file, "-p", param], capsys) == reason
+
+
+def test_missing_raw_op_key_is_named(i2_file, capsys):
+    reason = _fails(["raw-op", "--form", i2_file, "-p", "op=count-ellipsoid"],
+                    capsys)
+    assert reason == "missing parameter 's'"
+
+
+def test_unknown_csv_column_exits_1(i2_file, capsys):
+    reason = _fails(["delta-curve", "--form", i2_file, "-p", "s_grid=25",
+                     "--format", "csv", "--columns", "s,nope"], capsys)
+    assert reason == "unknown column 'nope'"
+
+
+def test_config_file_keys_keep_their_case(tmp_path, i2_file, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\nkind = gamma-curve\nform = {i2_file}\n\n"
+                   "[params]\ns_grid = 16\nT = 2.0\na_res = 8\n")
+    assert main(["--config", str(cfg)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert [row["T"] for row in out["rows"]] == [2.0]
+    assert out["config"]["params"] == {"T": "2.0", "a_res": "8", "s_grid": "16"}
+
+
+def test_benchmark_configs_parse_and_echo_unchanged(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.full + workload.toy:
+            cfg = ExperimentConfig(
+                kind=op.kind, form_path=str(workloads.FORMS_DIR / f"{op.form}.form"),
+                params=dict(op.params), budget=workloads.BUDGET)
+            cli._resolve(cfg)
+            assert json.dumps(cfg.resolved(), sort_keys=True) == json.dumps({
+                "budget": workloads.BUDGET, "form_path": cfg.form_path,
+                "format": "json", "kind": op.kind,
+                "params": dict(sorted(op.params.items())), "seed": 0,
+                "version": qflab.__version__, "workers": 1}, sort_keys=True)

@@ -6,7 +6,7 @@ import pytest
 from qflab.forms import build_form
 from qflab.util import spawn_rngs, worker_chunks
 from qflab.volume import (U_GRID_NODES, U_MAX_SLACK, _arranged_eigen,
-                          check_lemma82, delta_error,
+                          check_lemma82, delta_curve, delta_error,
                           ellipsoid_volume, euclidean_functional,
                           indefinite_limit_formula, indefinite_volume_mc,
                           m0_functional, mc_ellipsoid_volume, mc_mean,
@@ -40,6 +40,13 @@ def test_delta_error_examples(identity2):
     # invariance under integer shifts
     assert delta_error(identity2, [0.3, -1.7], 30.0) == pytest.approx(
         delta_error(identity2, [0.3, 0.3], 30.0))
+
+
+@pytest.mark.parametrize("s_list", [[0.0, 25.0], [25.0, -1.0]])
+def test_delta_curve_rejects_nonpositive_s(identity2, s_list):
+    # s = 0 used to divide by the zero volume
+    with pytest.raises(ValueError, match="s must be > 0"):
+        delta_curve(identity2, [0, 0], s_list)
 
 
 def test_volume_mc_cross_check():
