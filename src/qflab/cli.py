@@ -445,12 +445,29 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+# config-file sections and their keys; [params] keys are checked per kind
+_CONFIG_SECTIONS = {"experiment": ("kind", "form"), "params": None,
+                    "run": ("seed", "workers", "budget", "out", "format")}
+
+
 def _config_from_file(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str    # keys are case-sensitive: T, R, I0, Lambda, N
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in _CONFIG_SECTIONS:
+            raise ValueError(f"unknown config section [{section}]; "
+                             f"known: {sorted(_CONFIG_SECTIONS)}")
+        keys = _CONFIG_SECTIONS[section]
+        unknown = sorted(set(parser[section]) - set(keys)) if keys else []
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))} in "
+                             f"[{section}]; known: {sorted(keys)}")
     exp = parser["experiment"] if "experiment" in parser else {}
     run_sec = parser["run"] if "run" in parser else {}
     params = dict(parser["params"]) if "params" in parser else {}

@@ -1,7 +1,8 @@
 """Gap statistics for values of quadratic forms.
 
-Positive forms: successor gaps over a window [tau, tau + horizon], with the
-enumeration box chosen so that no value inside the window can be missed.
+Positive forms: successor gaps over a window [tau, tau + horizon], read from
+the value distribution of the whole ellipsoid Q[x - a] <= tau + horizon, so
+that no value inside the window can be missed.
 Indefinite forms: the maximal nearest-successor gap d(r) of the windowed value
 set over the box B(r), plus Oppenheim-style density scans toward m(Q) = 0.
 """
@@ -15,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import QuadraticForm, ShiftVector
-from .lattice import (MERGE_RTOL, dp_for_form, dp_window_values,
-                      ellipsoid_candidates, enumerate_values, quad_values)
+from .lattice import MERGE_RTOL, enumerate_values, quad_values, value_distribution
 from .util import box_blocks
 
 
@@ -28,34 +28,6 @@ class GapReport:
     n_values: int
     box_radius: float
     successor_sample: list    # [(value, successor, gap)] for the largest gaps
-
-
-def _window_values_positive(form: QuadraticForm, a: np.ndarray, lo: float,
-                            hi: float, budget: int) -> tuple[np.ndarray, float]:
-    """All distinct values of Q[x-a] in [lo, hi], complete by the box bound
-    |x_j - a_j| <= sqrt(hi / q_j) (diagonal) or |x - a| <= sqrt(hi/q0)."""
-    dp = dp_for_form(form, a, hi, budget)
-    if dp is not None:
-        pairs = dp_window_values(dp, (lo - 1.0, hi))
-        vals = np.array([v for v, _ in pairs])
-        radius = max(abs(b) for rng in dp.m_ranges for b in rng)
-        return vals, float(radius)
-    X, _ = ellipsoid_candidates(form.matrix, a, hi, budget)
-    vals = quad_values(form.matrix, a, X)
-    vals = np.unique(vals[vals <= hi])
-    radius = math.sqrt(hi / form.q0) + float(np.max(np.abs(a), initial=0.0)) + 1.0
-    return vals, radius
-
-
-def _coalesce(vals: np.ndarray, scale: float) -> np.ndarray:
-    if len(vals) == 0:
-        return vals
-    tol = MERGE_RTOL * max(1.0, abs(scale))
-    out = [vals[0]]
-    for v in vals[1:]:
-        if v - out[-1] > tol:
-            out.append(v)
-    return np.array(out)
 
 
 def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
@@ -71,8 +43,8 @@ def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
         a = a.a
     a = np.asarray(a, dtype=float)
     hi = tau + horizon
-    vals, radius = _window_values_positive(form, a, tau, hi, budget)
-    vals = _coalesce(np.sort(vals), hi)
+    dist = value_distribution(form, a, hi, budget)
+    vals, _ = dist.spectrum(tau - 1.0, hi)
     inside = vals[(vals >= tau) & (vals <= hi)]
     if len(inside) < 2:
         raise ValueError("insufficient values in the window")
@@ -83,7 +55,7 @@ def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
     imax = int(order[0])
     return GapReport(window=(tau, hi), max_gap=float(gaps[imax]),
                      achieving_pair=(float(inside[imax]), float(inside[imax + 1])),
-                     n_values=len(inside), box_radius=radius,
+                     n_values=len(inside), box_radius=dist.radius,
                      successor_sample=top)
 
 

@@ -1,33 +1,26 @@
-"""Exact lattice-point counting in ellipsoids/shells and value enumeration in boxes.
+"""Exact lattice-point counts and value listings, as queries on one value
+distribution.
 
-Two interchangeable engines:
+A `ValueDistribution` holds the values Q[x - a] of a finite lattice point
+set, the mass of each entry (a count or a weight) and, when the DP built it,
+each entry's exact value.  `mass_le(s)` and the window (alpha, beta] share
+one border rule: an entry within MERGE_RTOL of a bound is settled by
+`ExactScalar` when it is exact, and by the float predicate otherwise.
+Ellipsoid and shell counts, value spectra, the gap windows of `gaps` and the
+weighted F sums of `smoothing` are all queries on it; one distribution sized
+for the largest threshold answers every threshold.
 
-* a vectorized Cholesky-pruned enumeration (Fincke-Pohst style) that walks
-  coordinates one level at a time, keeping a frontier of partial prefixes as
-  numpy arrays; works for any nondegenerate form, exact for the float
-  predicate Q[x-a] <= s;
+`value_distribution` is the only code that picks the engine:
 
-* a dynamic-programming counter for exact diagonal forms with rational shift:
-  per-coordinate value distributions are convolved on an integer lattice of
-  scaled value coordinates (one axis per surd radicand), which stays exact for
-  arbitrary surd diagonals and scales to d = 9 boxes far beyond enumeration.
-  The table starts as a single 1 at the origin (the empty sum), and each
-  coordinate shift-adds only the bounding box of the table's nonzero cells,
-  found by one `np.any` reduction per axis: early partial sums fill a small
-  corner of the table, so most of the copying is skipped.  Work and budget
-  are still charged for the full box.
-
-This module alone decides when the DP applies and how large its box is:
-`dp_for_form` builds it (or returns None) for every caller, counts, gaps and
-the smoothing sums alike.  A built table keeps its cell values, so
-`dp_count_le` and `dp_window_values` answer any number of queries without
-recomputing them.  `count_ellipsoid_grid` is the one counting dispatch: a
-single DP table or enumeration sized for the largest threshold answers every
-threshold, and `count_ellipsoid`, `count_shell` and the Delta(s) curve are
-built on it.
-
-Value listing over a full box B(r) that the DP does not take scans the box in
-`util.box_blocks` blocks, keeping only the windowed values of each block.
+* the value-lattice DP for exact diagonal forms with rational shift
+  (`dp_for_form`): per-coordinate value distributions are convolved on an
+  integer lattice of scaled value coordinates, one axis per surd radicand,
+  exact for arbitrary surd diagonals and far beyond enumeration at d = 9.
+  Each coordinate shift-adds only the bounding box of the table's nonzero
+  cells (early partial sums fill a small corner), while work and budget are
+  charged for the full box;
+* Cholesky-pruned enumeration (Fincke-Pohst style) of an ellipsoid;
+* a `util.box_blocks` scan of a full box B(r), keeping only windowed values.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +42,7 @@ from .util import box_blocks
 PRUNE_PAD_RTOL = 1e-9
 MERGE_RTOL = 1e-9
 _INT64_SAFE = 2 ** 62
+BOX_DP_POINTS = 2 * 10 ** 6   # a full box tries the DP only above this size
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,65 @@ class ValueSpectrum:
 
     def total(self) -> int:
         return sum(self.multiplicities)
+
+
+@dataclass(frozen=True)
+class ValueDistribution:
+    """Values Q[x - a] with masses: one entry per nonzero DP cell, or per
+    enumerated or scanned point; complete up to the cap it was built for (and
+    above the floor of a box scan)."""
+
+    values: np.ndarray        # float value of each entry
+    masses: np.ndarray        # count or weight of each entry
+    method: str               # "diagonal-dp" | "enumeration" | "box-scan"
+    work: int                 # in the budget's unit: cell-updates, candidates, points
+    radius: float             # sup-norm radius of a box holding every point
+    cells: Optional[np.ndarray] = None   # DP: flat table index of each entry
+    lattice: tuple = ()       # DP: (table shape, basis, scales, offsets)
+
+    def exact_value(self, i: int) -> ExactScalar:
+        shape, basis, scales, offsets = self.lattice
+        idx = np.unravel_index(int(self.cells[i]), shape)
+        return ExactScalar(terms={b: Fraction(int(k) + off, sc) for b, sc, off, k
+                                  in zip(basis, scales, offsets, idx)})
+
+    def _le(self, s: float) -> np.ndarray:
+        """Mask of the entries with value <= s, under the border rule."""
+        if self.cells is None:
+            return self.values <= s
+        tol = MERGE_RTOL * max(1.0, abs(s))
+        mask = self.values <= s - tol
+        border = np.flatnonzero(~mask & (self.values <= s + tol))
+        bound = ExactScalar(Fraction(s))
+        mask[border] = [self.exact_value(i) <= bound for i in border]
+        return mask
+
+    def mass_le(self, s: float):
+        """Total mass of the entries with value <= s: an int for counts, the
+        weights' own type (float or Fraction) for weighted entries."""
+        total = self.masses[self._le(s)].sum()
+        return total.item() if isinstance(total, np.generic) else total
+
+    def window(self, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Values and masses of the entries in (alpha, beta], sorted by value."""
+        sel = np.flatnonzero(self._le(beta) & ~self._le(alpha))
+        sel = sel[np.argsort(self.values[sel], kind="stable")]
+        return self.values[sel], self.masses[sel]
+
+    def spectrum(self, alpha: float, beta: float) -> tuple[np.ndarray, list]:
+        """The window's distinct values with summed masses: a value within
+        MERGE_RTOL * max(1, |alpha|, |beta|) of the first value of the current
+        run joins that run."""
+        tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
+        out_v: list[float] = []
+        out_m: list = []
+        for v, m in zip(*(x.tolist() for x in self.window(alpha, beta))):
+            if out_v and v - out_v[-1] <= tol:
+                out_m[-1] += m
+            else:
+                out_v.append(v)
+                out_m.append(m)
+        return np.array(out_v), out_m
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +226,17 @@ class DiagonalDP:
         """Cell-updates of the build, the unit its budget is charged in."""
         return self.table.size * sum(hi - lo + 1 for lo, hi in self.m_ranges)
 
-    def cell_exact(self, idx: tuple[int, ...]) -> ExactScalar:
-        terms = {b: Fraction(int(i) + off, sc)
-                 for b, sc, off, i in zip(self.basis, self.scales, self.offsets, idx)}
-        return ExactScalar(terms=terms)
+    @cached_property
+    def distribution(self) -> ValueDistribution:
+        """The nonzero cells as a value distribution, built on the first query;
+        it holds copies, never the DP, so the two are freed together."""
+        flat = self.table.reshape(-1)
+        cells = np.flatnonzero(flat)
+        return ValueDistribution(
+            values=self.values.reshape(-1)[cells], masses=flat[cells],
+            method="diagonal-dp", work=self.work,
+            radius=float(max(abs(b) for rng in self.m_ranges for b in rng)), cells=cells,
+            lattice=(self.table.shape, self.basis, self.scales, self.offsets))
 
 
 def _cell_values(shape, basis, scales, offsets) -> np.ndarray:
@@ -247,45 +308,24 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
     lattice points of coordinate j (floats, ints or Fractions); without
     weights the table holds exact counts.
     """
-    d = len(diag)
-    basis_set: set[int] = set()
-    for q in diag:
-        basis_set |= set(q.terms.keys())
-    if not basis_set:
-        basis_set = {1}
-    basis = tuple(sorted(basis_set))
+    basis = tuple(sorted(set().union(*(q.terms for q in diag)) or {1}))
     if len(basis) > 3:
         raise ValueError(f"too many distinct radicands for DP: {basis}")
 
-    # per-(coordinate, m) scaled integer contribution vectors
-    scales = []
-    for b in basis:
-        sc = 1
-        for j, q in enumerate(diag):
-            coef = q.terms.get(b, Fraction(0))
-            den = coef.denominator * (shift[j].denominator ** 2)
-            sc = sc * den // math.gcd(sc, den)
-        scales.append(sc)
-    scales = tuple(scales)
-
-    contribs: list[np.ndarray] = []   # per coordinate: (n_m, n_basis) int64
-    for j, q in enumerate(diag):
-        lo, hi = m_ranges[j]
-        ms = np.arange(lo, hi + 1)
-        rows = np.empty((len(ms), len(basis)), dtype=np.int64)
-        for bi, b in enumerate(basis):
-            coef = q.terms.get(b, Fraction(0)) * scales[bi]
-            for mi, m in enumerate(ms):
-                v = coef * (Fraction(m) - shift[j]) ** 2
-                assert v.denominator == 1
-                rows[mi, bi] = int(v)
-        contribs.append(rows)
+    # per-(coordinate, m) scaled integer contribution vectors, (n_m, n_basis)
+    scales = tuple(math.lcm(*(q.terms.get(b, Fraction(0)).denominator * aj.denominator ** 2
+                              for q, aj in zip(diag, shift))) for b in basis)
+    contribs = []
+    for q, aj, (lo, hi) in zip(diag, shift, m_ranges):
+        vals = [[q.terms.get(b, Fraction(0)) * sc * (m - aj) ** 2
+                 for b, sc in zip(basis, scales)] for m in range(lo, hi + 1)]
+        assert all(v.denominator == 1 for row in vals for v in row)
+        contribs.append(np.array([[int(v) for v in row] for row in vals],
+                                 dtype=np.int64).reshape(-1, len(basis)))
 
     nonneg = all((rows >= 0).all() for rows in contribs)
-    offsets = tuple(int(sum(rows[:, bi].min() for rows in contribs))
-                    for bi in range(len(basis)))
-    highs = tuple(int(sum(rows[:, bi].max() for rows in contribs))
-                  for bi in range(len(basis)))
+    offsets = tuple(int(v) for v in sum(rows.min(axis=0) for rows in contribs))
+    highs = tuple(int(v) for v in sum(rows.max(axis=0) for rows in contribs))
     shape = tuple(h - o + 1 for h, o in zip(highs, offsets))
     # shift every coordinate's contributions by its own minimum so partial
     # sums index from 0 at every stage; cell value = index + offset at the end
@@ -296,37 +336,28 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
     if pruned:
         # axis-trimming: coordinates whose *own* value already exceeds cap are dead
         cap_pad = cap + PRUNE_PAD_RTOL * max(1.0, abs(cap)) + 1e-9
-        new_shape = []
-        for bi, b in enumerate(basis):
-            axis_cap = math.floor(cap_pad * scales[bi] / math.sqrt(b)) + 1
-            new_shape.append(min(shape[bi], max(axis_cap - offsets[bi] + 1, 1)))
-        shape = tuple(new_shape)
+        shape = tuple(min(n, max(math.floor(cap_pad * sc / math.sqrt(b)) + 2 - off, 1))
+                      for n, b, sc, off in zip(shape, basis, scales, offsets))
 
-    cells = int(np.prod([float(s) for s in shape]))
-    work = cells * sum(r.shape[0] for r in contribs)
+    work = math.prod(shape) * sum(len(rows) for rows in contribs)
     if work > budget:
         raise BudgetExceededError(
             f"diagonal DP work {work} exceeds budget {budget}", required=work)
 
-    if dtype is None:
-        if weights is None:
-            total_points = 1.0
-            for lo, hi in m_ranges:
-                total_points *= (hi - lo + 1)
-            dtype = np.int64 if total_points < _INT64_SAFE else object
-        else:
-            wdtypes = [np.asarray(w).dtype for w in weights]
-            dtype = object if any(dt == object for dt in wdtypes) else np.float64
+    if dtype is None and weights is None:
+        n_points = math.prod(hi - lo + 1 for lo, hi in m_ranges)
+        dtype = np.int64 if n_points < _INT64_SAFE else object
+    elif dtype is None:
+        dtype = object if any(np.asarray(w).dtype == object for w in weights) else np.float64
 
     values = _cell_values(shape, basis, scales, offsets)
     cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
     table[(0,) * len(shape)] = 1      # the empty sum
-    for j in range(d):
-        rows = contribs[j]
+    for j, rows in enumerate(contribs):
         w = None if weights is None else np.asarray(weights[j], dtype=dtype)
         table = _add_coordinate(table, rows, w)
-        if cap_mask is not None:
+        if pruned:
             table[cap_mask] = 0
     return DiagonalDP(basis=basis, scales=scales, offsets=offsets,
                       m_ranges=tuple(tuple(rng) for rng in m_ranges),
@@ -334,45 +365,16 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
 
 
 def dp_count_le(dp: DiagonalDP, s: float):
-    """Exact (weighted) mass of cells with value <= s; near-ties are settled
-    by exact surd comparison against the binary rational Fraction(s).
-
-    Returns an int for count tables and the native weight type (float or
-    Fraction) for weighted tables.
-    """
-    tol = MERGE_RTOL * max(1.0, abs(s))
-    sure = dp.values <= s - tol
-    border = np.abs(dp.values - s) <= tol
-    total = dp.table[sure].sum()
-    total = total.item() if isinstance(total, np.generic) else total
-    s_frac = Fraction(s)
-    for idx in np.argwhere(border):
-        idx = tuple(int(i) for i in idx)
-        if dp.table[idx] and dp.cell_exact(idx) <= ExactScalar(s_frac):
-            total = total + dp.table[idx]
-    return total
+    """Exact (weighted) mass of cells with value <= s: the table's
+    `ValueDistribution.mass_le`, which settles near-ties by exact surd
+    comparison against the binary rational Fraction(s)."""
+    return dp.distribution.mass_le(s)
 
 
 def dp_window_values(dp: DiagonalDP, window: tuple[float, float]):
     """Sorted (value, multiplicity) pairs with value in (alpha, beta]."""
-    alpha, beta = window
-    vals = dp.values
-    tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
-    mask = (dp.table != 0) & (vals > alpha - tol) & (vals <= beta + tol)
-    out = []
-    a_frac, b_frac = Fraction(alpha), Fraction(beta)
-    for idx in np.argwhere(mask):
-        idx = tuple(int(i) for i in idx)
-        v = float(vals[idx])
-        if abs(v - alpha) <= tol or abs(v - beta) <= tol:
-            ex = dp.cell_exact(idx)
-            if not (ex > ExactScalar(a_frac) and ex <= ExactScalar(b_frac)):
-                continue
-        elif not (alpha < v <= beta):
-            continue
-        out.append((v, int(dp.table[idx])))
-    out.sort()
-    return out
+    values, masses = dp.distribution.window(*window)
+    return [(v, int(m)) for v, m in zip(values.tolist(), masses.tolist())]
 
 
 def _rational_shift(a: np.ndarray) -> Optional[list[Fraction]]:
@@ -415,10 +417,79 @@ def dp_for_form(form: QuadraticForm, a: np.ndarray, cap: float, budget: int,
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# the one dispatch
 # ---------------------------------------------------------------------------
 
 COUNT_METHODS = ("auto", "enumeration", "diagonal-dp")
+
+
+def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
+                       budget: int, box: Optional[int] = None,
+                       floor: float = -math.inf,
+                       weights: Optional[Sequence[np.ndarray]] = None,
+                       method: str = "auto") -> ValueDistribution:
+    """The distribution of Q[x - a] answering every query up to `cap`.
+
+    The points are the box [-box, box]^d, or else the ellipsoid Q[x - a] <=
+    cap, clipped to [-H, H]^d by `weights` (2H + 1 weights per coordinate;
+    without them every point counts 1).  The DP runs for exact diagonal forms
+    with rational shift, on a box only above BOX_DP_POINTS points and not
+    when its work exceeds the budget while the box fits.  Otherwise a box is
+    scanned, keeping values in (floor, cap], and an ellipsoid is enumerated
+    (positive forms only).  `method` "enumeration" skips the DP,
+    "diagonal-dp" demands it.
+    """
+    if method not in COUNT_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
+    d = form.dim
+    if box is not None:
+        m_ranges, n_box = [(-box, box)] * d, (2 * box + 1) ** d
+    elif weights is not None:
+        half = len(weights[0]) // 2
+        m_ranges = [(-half, half)] * d
+    elif cap < 0:       # the empty ellipsoid
+        return ValueDistribution(values=np.empty(0), masses=np.empty(0, np.int64),
+                                 method="enumeration", work=0, radius=0.0)
+    else:
+        m_ranges = None
+    dp = None
+    if method != "enumeration" and (box is None or n_box > BOX_DP_POINTS):
+        try:
+            dp = dp_for_form(form, a, cap, budget, m_ranges=m_ranges, weights=weights)
+        except BudgetExceededError:
+            if box is None or n_box > budget:
+                raise
+    if dp is not None:
+        return dp.distribution
+    if method == "diagonal-dp":
+        raise ValueError("diagonal-dp requires an exact diagonal form "
+                         "and a rational shift")
+    if box is not None:
+        kept = []
+        for X in box_blocks(box, d, budget):
+            vals = quad_values(form.matrix, a, X)
+            kept.append(vals[(vals > floor) & (vals <= cap)])
+        values = np.concatenate(kept)
+        return ValueDistribution(values=values, masses=np.ones(len(values), np.int64),
+                                 method="box-scan", work=n_box, radius=float(box))
+    if not form.is_positive:
+        raise ValueError("enumeration needs a positive form")
+    X, visited = ellipsoid_candidates(form.matrix, a, cap, budget)
+    if weights is None:
+        masses = np.ones(len(X), np.int64)
+    else:
+        X = X[np.all(np.abs(X) <= half, axis=1)]
+        masses = np.ones(len(X))
+        for j, w in enumerate(weights):
+            masses *= w[X[:, j] + half]
+    radius = math.sqrt(max(cap, 0.0) / form.q0) + float(np.max(np.abs(a), initial=0.0)) + 1.0
+    return ValueDistribution(values=quad_values(form.matrix, a, X), masses=masses,
+                             method="enumeration", work=visited, radius=radius)
+
+
+# ---------------------------------------------------------------------------
+# public operations
+# ---------------------------------------------------------------------------
 
 
 def count_ellipsoid_grid(form: QuadraticForm, a: ShiftVector | Sequence[float],
@@ -426,33 +497,20 @@ def count_ellipsoid_grid(form: QuadraticForm, a: ShiftVector | Sequence[float],
                          method: str = "auto") -> tuple[list[int], str, int]:
     """Exact cardinalities of {x in Z^d : Q[x - a] <= s} for every s in s_list.
 
-    One DP table or one enumeration, sized for the largest s, answers every
-    threshold.  Shifts are first reduced modulo Z^d, which leaves the counts
-    unchanged and shrinks the enumeration box.  `method` is "auto",
-    "enumeration" or "diagonal-dp"; auto picks the DP for exact diagonal forms
-    with rational shift.  Returns (counts, method used, work), the work in the
-    unit the budget is charged in: candidates or DP cell-updates.
+    One value distribution, sized for the largest s, answers every threshold.
+    Shifts are first reduced modulo Z^d, which leaves the counts unchanged
+    and shrinks the enumeration box.  `method` is "auto", "enumeration" or
+    "diagonal-dp" (see `value_distribution`).  Returns (counts, method used,
+    work), the work in the unit the budget is charged in: candidates or DP
+    cell-updates.
     """
-    if method not in COUNT_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
     if not form.is_positive:
         raise ValueError("not elliptic")
     if isinstance(a, ShiftVector):
         a = a.a
     a_red, _ = ShiftVector(np.asarray(a, dtype=float)).reduced()
-    cap = max(s_list)
-    if cap < 0:
-        return [0] * len(s_list), "enumeration", 0
-
-    dp = None if method == "enumeration" else dp_for_form(form, a_red, cap, budget)
-    if dp is not None:
-        return [int(dp_count_le(dp, s)) for s in s_list], "diagonal-dp", dp.work
-    if method == "diagonal-dp":
-        raise ValueError("diagonal-dp requires an exact diagonal form "
-                         "and a rational shift")
-    X, visited = ellipsoid_candidates(form.matrix, a_red, cap, budget)
-    vals = quad_values(form.matrix, a_red, X)
-    return [int(np.count_nonzero(vals <= s)) for s in s_list], "enumeration", visited
+    dist = value_distribution(form, a_red, max(s_list), budget, method=method)
+    return [int(dist.mass_le(s)) for s in s_list], dist.method, dist.work
 
 
 def count_ellipsoid(form: QuadraticForm, a: ShiftVector | Sequence[float],
@@ -493,37 +551,7 @@ def enumerate_values(form: QuadraticForm, a, r: float,
     if isinstance(a, ShiftVector):
         a = a.a
     a = np.asarray(a, dtype=float)
-    d = form.dim
-    half = math.floor(r)
-    n_box = (2 * half + 1) ** d
-
-    if n_box > 2 * 10 ** 6:
-        dp = dp_for_form(form, a, beta, budget, m_ranges=[(-half, half)] * d)
-        if dp is not None:
-            return _merged_spectrum(dp_window_values(dp, window), r, window, a)
-
-    tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
-    blocks = []
-    for X in box_blocks(half, d, budget):
-        vals = quad_values(form.matrix, a, X)
-        blocks.append(vals[(vals > alpha) & (vals <= beta + tol)])
-    sel = np.concatenate(blocks)
-    sel.sort()
-    pairs = [(float(v), 1) for v in sel]
-    return _merged_spectrum(pairs, r, window, a)
-
-
-def _merged_spectrum(pairs, r, window, a) -> ValueSpectrum:
-    alpha, beta = window
-    tol = MERGE_RTOL * max(1.0, abs(alpha), abs(beta))
-    out_v: list[float] = []
-    out_m: list[int] = []
-    for v, mult in pairs:
-        if out_v and v - out_v[-1] <= tol:
-            out_m[-1] += mult
-        else:
-            out_v.append(v)
-            out_m.append(mult)
-    return ValueSpectrum(values=np.array(out_v), multiplicities=out_m,
-                         box_radius=float(r), window=(alpha, beta),
-                         shift=np.asarray(a, dtype=float))
+    dist = value_distribution(form, a, beta, budget, box=math.floor(r), floor=alpha)
+    values, mults = dist.spectrum(alpha, beta)
+    return ValueSpectrum(values=values, multiplicities=mults, box_radius=float(r),
+                         window=(alpha, beta), shift=a)

@@ -18,8 +18,8 @@ runs Horner's rule on that cell's coefficients.  Correction densities D_j contra
 derivatives of D against moments of the (k+1)-fold cell measure; for the
 product density they reduce to sums of products of 1-d factor derivatives,
 enumerated over even multi-indices.  F-values against mu are exact weighted
-lattice sums (diagonal DP or pruned enumeration); F-values against nu and
-nu_j are importance-sampled Monte Carlo with D as the proposal.
+lattice sums, queries on one `lattice.value_distribution`; F-values against
+nu and nu_j are importance-sampled Monte Carlo with D as the proposal.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .forms import QuadraticForm, ShiftVector
-from .lattice import dp_count_le, dp_for_form, ellipsoid_candidates, quad_values
+from .bounds import error_envelopes
+from .lattice import quad_values, value_distribution
 from .trig import factorized_transform, gamma_estimate
 from .volume import McEstimate, mc_mean
 
@@ -346,38 +347,29 @@ def density(scheme: SmoothingScheme, X: np.ndarray) -> np.ndarray:
 
 def _f_mu_grid(form: QuadraticForm, a, s_list: Sequence[float],
                scheme: SmoothingScheme, budget: int, exact: bool) -> list:
-    """F(s) for every s in s_list from one weighted lattice sum sized for the
-    largest s."""
+    """F(s) for every s in s_list from one weighted value distribution sized
+    for the largest s."""
     if isinstance(a, ShiftVector):
         a = a.a
     a = np.asarray(a, dtype=float)
-    d = form.dim
-    Hw = scheme.half_support
     if exact:
         # integer numerators keep the DP in (fast) bigint arithmetic;
         # one division by the normalizer at the end restores the Fraction
         wcol = np.array([int(nu) for nu in scheme.numerators], dtype=object)
     else:
         wcol = scheme.weights
-    dp = dp_for_form(form, a, max(s_list), budget, m_ranges=[(-Hw, Hw)] * d,
-                     weights=[wcol] * d)
-    if dp is not None:
-        totals = [dp_count_le(dp, float(s)) for s in s_list]
-        if exact:
-            return [Fraction(int(t), scheme.normalizer ** d) for t in totals]
-        return [float(t) for t in totals]
+    try:
+        dist = value_distribution(form, a, max(s_list), budget,
+                                  weights=[wcol] * form.dim,
+                                  method="diagonal-dp" if exact else "auto")
+    except ValueError as exc:
+        if not exact:
+            raise
+        raise ValueError(f"exact=True needs the diagonal DP: {exc}") from None
+    totals = [dist.mass_le(float(s)) for s in s_list]
     if exact:
-        raise ValueError("exact=True needs an exact diagonal form with rational shift")
-    if not form.is_positive:
-        raise ValueError("enumeration path needs a positive form; "
-                         "use the window variant on shells instead")
-    X, _ = ellipsoid_candidates(form.matrix, a, max(s_list), budget)
-    X = X[np.all(np.abs(X) <= Hw, axis=1)]
-    vals = quad_values(form.matrix, a, X)
-    w = np.ones(X.shape[0])
-    for j in range(d):
-        w *= scheme.weights[X[:, j] + Hw]
-    return [float(np.sum(w[vals <= s])) for s in s_list]
+        return [Fraction(int(t), scheme.normalizer ** form.dim) for t in totals]
+    return [float(t) for t in totals]
 
 
 def f_mu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
@@ -394,15 +386,15 @@ def f_mu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
 
 def f_mu_window(form, a, window: tuple[float, float], scheme,
                 budget: int = 10 ** 9) -> float:
-    """F(I) = F(beta) - F(alpha) for I = (alpha, beta]."""
-    alpha, beta = window
-    return (f_mu(form, a, beta, scheme, budget=budget)
-            - f_mu(form, a, alpha, scheme, budget=budget))
+    """F(I) = F(beta) - F(alpha) for I = (alpha, beta], from one weighted
+    value distribution."""
+    F_alpha, F_beta = _f_mu_grid(form, a, window, scheme, budget, exact=False)
+    return F_beta - F_alpha
 
 
 def f_mu_curve(form: QuadraticForm, a, s_list: Sequence[float],
                scheme: SmoothingScheme, budget: int = 10 ** 10) -> list[float]:
-    """F(s) on an s-grid from one shared DP table or enumeration."""
+    """F(s) on an s-grid from one weighted value distribution."""
     return _f_mu_grid(form, a, s_list, scheme, budget, exact=False)
 
 
@@ -473,11 +465,8 @@ def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
     r = scheme.r
     q = form.q
     gam = gamma_estimate(form, max(r * r, 1.0 + 1e-9), T).gamma
-    a_norm = float(np.linalg.norm(a))
-    envelope = (q ** (d / 2) / (r * r * T)
-                + (scheme.R ** p / r ** (2 * p)) * (1 + a_norm / r) ** p
-                * q ** (p + d / 2)
-                + gam ** (1 - 8 / d - eps) * T ** eps * q ** (d / 2) / (r * r))
+    envelope = error_envelopes("thm21", d=d, q=q, r=r, T=T, R=scheme.R, p=p,
+                               a_norm=float(np.linalg.norm(a)), eps=eps, gamma=gam)
     js = [j for j in range(2, p, 2)]
     rows = []
     F_col = f_mu_curve(form, a, s_grid, scheme, budget=budget)

@@ -408,6 +408,24 @@ def test_config_file_keys_keep_their_case(tmp_path, i2_file, capsys):
     assert out["config"]["params"] == {"T": "2.0", "a_res": "8", "s_grid": "16"}
 
 
+_EXP = "[experiment]\nkind = gamma-curve\nform = {form}\n"
+_PARAMS = "[params]\ns_grid = 16\nT = 2.0\na_res = 8\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (_EXP + _PARAMS + "[run]\nsead = 7\n", "unknown key 'sead' in [run]"),
+    (_EXP + _PARAMS + "[run]\nformt = csv\n", "unknown key 'formt' in [run]"),
+    (_EXP + _PARAMS + "[extra]\nseed = 7\n", "unknown config section [extra]"),
+    (_EXP + "seed = 7\n" + _PARAMS, "unknown key 'seed' in [experiment]"),
+    (_EXP + _PARAMS + _PARAMS, "While reading"),
+])
+def test_config_file_refuses_unknown_sections_and_keys(tmp_path, i2_file, capsys,
+                                                       text, reason):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text.format(form=i2_file))
+    assert _fails(["--config", str(cfg)], capsys).startswith(reason)
+
+
 def test_benchmark_configs_parse_and_echo_unchanged(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)

@@ -1,17 +1,20 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_count, brute_points, brute_values
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
-from qflab.lattice import (PRUNE_PAD_RTOL, _cell_values, count_ellipsoid,
-                           count_shell, diagonal_value_dp, dp_count_le,
-                           dp_for_form, dp_window_values, enumerate_values)
+from qflab.lattice import (MERGE_RTOL, PRUNE_PAD_RTOL, _cell_values,
+                           count_ellipsoid, count_shell, diagonal_value_dp,
+                           dp_count_le, dp_for_form, dp_window_values,
+                           enumerate_values, value_distribution)
 from qflab.scalars import ExactScalar
+from qflab.smoothing import build_scheme
 from qflab.volume import delta_curve, ellipsoid_volume
 
 
@@ -334,3 +337,108 @@ def test_dp_property_matches_full_table_and_brute(coords, cap):
     _assert_same_table(dp.table, ref)
     for s in (cap / 3, cap):
         assert dp_count_le(dp, s) == brute_count(form.matrix, x, s)
+
+
+# ---------------------------------------------------------------------------
+# the one value distribution and its dispatch
+# ---------------------------------------------------------------------------
+
+
+def _float_clone(form):
+    return build_form(form.matrix * 1.0, normalize=False)
+
+
+def test_box_scan_takes_over_from_an_oversized_dp():
+    """A box above the DP threshold whose DP work exceeds the budget is
+    scanned instead, as its float clone always was."""
+    exact = diagonal_form([ExactScalar(1), -SQRT2, -ExactScalar.sqrt(3)])
+    clone = _float_clone(exact)
+    r, window = 64, (-10.0, 10.0)       # 129^3 > 2e6 box points
+    dist = value_distribution(exact, np.zeros(3), window[1], 10 ** 8, box=r,
+                              floor=window[0])
+    assert dist.method == "box-scan" and dist.work == 129 ** 3
+    got = enumerate_values(exact, [0, 0, 0], r, window)
+    want = enumerate_values(clone, [0, 0, 0], r, window)
+    assert got.values.tolist() == want.values.tolist()
+    assert got.multiplicities == want.multiplicities
+    # neither fits: the DP's refusal stands
+    with pytest.raises(BudgetExceededError):
+        enumerate_values(exact, [0, 0, 0], r, window, budget=10 ** 6)
+
+
+def test_dp_distribution_is_cached_without_a_cycle(identity2):
+    dp = dp_for_form(identity2, np.zeros(2), 30.0, 10 ** 6)
+    assert dp.distribution is dp.distribution
+    assert dp_count_le(dp, 25.0) == 81
+    ref = weakref.ref(dp)
+    dist = dp.distribution
+    del dp
+    assert ref() is None       # freed by reference counting alone
+    assert dist.mass_le(25.0) == 81
+
+
+def test_border_rule_exact_and_float():
+    """Q = (7/3) (x - 1/4)^2 attains s = 1701/16 exactly at x = 7, where the
+    float value rounds above s: the DP settles the tie exactly, enumeration
+    keeps the float predicate."""
+    form = diagonal_form([ExactScalar(Fraction(7, 3))])
+    s = 1701 / 16
+    dp = value_distribution(form, np.array([0.25]), s, 10 ** 6)
+    en = value_distribution(_float_clone(form), np.array([0.25]), s, 10 ** 6)
+    assert (dp.method, en.method) == ("diagonal-dp", "enumeration")
+    assert (dp.mass_le(s), en.mass_le(s)) == (14, 13)
+    assert dp.window(100.0, s)[1].tolist() == [1]
+    assert en.window(100.0, s)[1].tolist() == []
+
+
+def _random_diagonal(coords, signed):
+    diag = [ExactScalar(terms={b: Fraction(num, den) * (-1 if signed and neg else 1)})
+            for num, den, b, _, neg in coords]
+    shift = [a4 / 4 for *_, a4, _ in coords]
+    return diagonal_form(diag), shift
+
+
+# q_j = (num/den) sqrt(b) with b in {1, 2}, a_j in Z/4, optionally negated;
+# small enough that an unpruned indefinite DP stays within 10^8 cell-updates
+_COORDS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2), st.sampled_from([1, 2]),
+                             st.integers(0, 3), st.booleans()),
+                   min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_COORDS, st.integers(1, 2), st.floats(-15.0, 15.0), st.floats(0.5, 15.0))
+def test_dp_window_matches_box_scan_of_float_clone(coords, r, alpha, width):
+    """Random exact diagonal forms (either sign, surd entries) with shifts in
+    Z/4: the DP window and the float clone's box scan agree on every value
+    more than MERGE_RTOL from the window ends."""
+    form, shift = _random_diagonal(coords, signed=True)
+    window = (alpha, alpha + width)
+    dp = dp_for_form(form, np.array(shift), window[1], 10 ** 8,
+                     m_ranges=[(-r, r)] * form.dim)
+    box = enumerate_values(_float_clone(form), shift, r, window)
+    tol = MERGE_RTOL * max(1.0, abs(window[0]), abs(window[1]))
+
+    def inner(values, mults):
+        keep = [i for i, v in enumerate(values)
+                if min(abs(v - window[0]), abs(v - window[1])) > tol]
+        return [values[i] for i in keep], [mults[i] for i in keep]
+
+    got_v, got_m = inner(*dp.distribution.spectrum(*window))
+    want_v, want_m = inner(box.values, box.multiplicities)
+    assert got_m == want_m
+    assert np.allclose(got_v, want_v, rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_COORDS, st.floats(0.5, 40.0))
+def test_weighted_dp_mass_matches_enumeration_of_float_clone(coords, s):
+    """The weighted `mass_le` of the DP equals the weighted enumeration sum of
+    the float clone, away from values attained within MERGE_RTOL of s."""
+    form, shift = _random_diagonal(coords, signed=False)
+    weights = [build_scheme(3, 1, 2).weights] * form.dim
+    dp = value_distribution(form, np.array(shift), s, 10 ** 8, weights=weights)
+    en = value_distribution(_float_clone(form), np.array(shift), s, 10 ** 8,
+                            weights=weights)
+    assert (dp.method, en.method) == ("diagonal-dp", "enumeration")
+    assume(not np.any(np.abs(dp.values - s) <= MERGE_RTOL * max(1.0, s)))
+    assert dp.mass_le(s) == pytest.approx(en.mass_le(s), rel=0, abs=1e-12)

@@ -261,6 +261,18 @@ def test_expansion_residual_f_column_is_per_s_f_mu(surd9):
         f_mu(surd9, [0.0] * 9, s, scheme) for s in s_grid]
 
 
+def test_expansion_residual_envelope_is_thm21(surd9):
+    from qflab.bounds import error_envelopes
+    from qflab.smoothing import expansion_residual
+    scheme = build_scheme(6, 1, 6)
+    a = [0.25] + [0.0] * 8
+    rep = expansion_residual(surd9, a, [100.0], scheme, 2, samples=1000, seed=1,
+                             T=2.0, eps=0.1)
+    assert rep["envelope"] == error_envelopes(
+        "thm21", d=9, q=surd9.q, r=1.0, T=2.0, R=6.0, p=2, a_norm=0.25,
+        eps=0.1, gamma=rep["gamma"])
+
+
 def test_expansion_residual_hypothesis_checks(surd9, identity2):
     from qflab.smoothing import expansion_residual
     scheme = build_scheme(6, 1, 6)
