@@ -21,10 +21,6 @@ from .scalars import ExactScalar, parse_exact_scalar
 DEGENERACY_RTOL = 1e-10
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 @dataclass(frozen=True)
 class RationalityVerdict:
     kind: str  # "rational" | "irrational" | "unknown"
@@ -115,14 +111,16 @@ class ShiftVector:
         m = np.floor(self.a)
         return self.a - m, m.astype(int)
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
 
-
-def _symmetric_eigen(mat: np.ndarray):
-    w, v = np.linalg.eigh(mat)
-    return w, v
+def shift_array(form: QuadraticForm, a) -> np.ndarray:
+    """The shift `a` (a ShiftVector or a sequence) as a float array of
+    form.dim entries; ValueError for any other shape."""
+    if isinstance(a, ShiftVector):
+        a = a.a
+    a = np.asarray(a, dtype=float)
+    if a.shape != (form.dim,):
+        raise ValueError(f"shift of shape {a.shape} for a form of dimension {form.dim}")
+    return a
 
 
 def build_form(entries, normalize: bool = True) -> QuadraticForm:
@@ -166,7 +164,7 @@ def build_form(entries, normalize: bool = True) -> QuadraticForm:
         mat = np.array([[float(flat[i * d + j]) for j in range(d)] for i in range(d)])
         mat = (mat + mat.T) / 2.0  # symmetrize float input exactly once
 
-    w, v = _symmetric_eigen(mat)
+    w, v = np.linalg.eigh(mat)
     qmax = float(np.max(np.abs(w)))
     if qmax == 0.0 or float(np.min(np.abs(w))) <= DEGENERACY_RTOL * qmax:
         raise ValueError("degenerate form")
@@ -189,7 +187,7 @@ def build_form(entries, normalize: bool = True) -> QuadraticForm:
                 mat = mat / q0
         else:
             mat = mat / q0
-        w, v = _symmetric_eigen(mat)
+        w, v = np.linalg.eigh(mat)
 
     n_pos = int(np.sum(w > 0))
     n_neg = int(np.sum(w < 0))
@@ -235,7 +233,7 @@ def _classify_entries(exact: Optional[list[ExactScalar]], d: int) -> Rationality
     num_gcd, den_lcm = 0, 1
     for _, f in ratios:
         num_gcd = math.gcd(num_gcd, abs(f.numerator))
-        den_lcm = _lcm(den_lcm, f.denominator)
+        den_lcm = math.lcm(den_lcm, f.denominator)
     L = Fraction(den_lcm, num_gcd)
     M = ExactScalar(L) / abs(pivot)
     return RationalityVerdict("rational", multiplier=M)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import QuadraticForm, ShiftVector
+from .forms import QuadraticForm, shift_array
 from .lattice import MERGE_RTOL, enumerate_values, quad_values, value_distribution
 from .util import box_blocks
 
@@ -39,9 +39,7 @@ def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
         raise ValueError("not elliptic")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     hi = tau + horizon
     dist = value_distribution(form, a, hi, budget)
     vals, _ = dist.spectrum(tau - 1.0, hi)
@@ -94,9 +92,7 @@ def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
     alpha, beta = target
     if not alpha < beta:
         raise ValueError("target must be a nonempty interval")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     d = form.dim
     tried = []
     for r in r_schedule:

@@ -3,8 +3,10 @@ distribution.
 
 A `ValueDistribution` holds the values Q[x - a] of a finite lattice point
 set, the mass of each entry (a count or a weight) and, when the DP built it,
-each entry's exact value.  `mass_le(s)` and the window (alpha, beta] share
-one border rule: an entry within MERGE_RTOL of a bound is settled by
+each entry's exact value.  A weighted distribution takes one weight column
+for every coordinate, the point x weighing prod_j w[x_j + H], as the product
+measure mu of `smoothing` does.  `mass_le(s)` and the window (alpha, beta]
+share one border rule: an entry within MERGE_RTOL of a bound is settled by
 `ExactScalar` when it is exact, and by the float predicate otherwise.
 Ellipsoid and shell counts, value spectra, the gap windows of `gaps` and the
 weighted F sums of `smoothing` are all queries on it; one distribution sized
@@ -35,8 +37,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .forms import QuadraticForm, ShiftVector
+from .forms import QuadraticForm, ShiftVector, shift_array
 from .scalars import ExactScalar
+from . import util
 from .util import box_blocks
 
 PRUNE_PAD_RTOL = 1e-9
@@ -203,8 +206,13 @@ def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
 
 
 def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    Y = np.asarray(X, dtype=float) - a
-    return np.einsum("ij,jk,ik->i", Y, mat, Y)
+    """Q[x - a] per row x of X, shifting util.BOX_CHUNK rows at a time."""
+    X = np.asarray(X)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], util.BOX_CHUNK):
+        Y = np.asarray(X[start:start + util.BOX_CHUNK], dtype=float) - a
+        out[start:start + len(Y)] = np.einsum("ij,jk,ik->i", Y, mat, Y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +305,16 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
                       shift: Sequence[Fraction],
                       m_ranges: Sequence[tuple[int, int]],
                       cap: Optional[float] = None,
-                      weights: Optional[Sequence[np.ndarray]] = None,
+                      weights: Optional[np.ndarray] = None,
                       budget: int = 10 ** 9,
                       dtype=None) -> DiagonalDP:
     """Convolve per-coordinate value distributions of sum_j q_j (m_j - a_j)^2.
 
     `cap` enables pruning and is only valid when every per-coordinate scaled
     contribution is componentwise nonnegative (the common positive-diagonal
-    case); it is ignored otherwise.  `weights[j]` optionally weights the
-    lattice points of coordinate j (floats, ints or Fractions); without
-    weights the table holds exact counts.
+    case); it is ignored otherwise.  The optional weight column weights the
+    i-th point lo + i of every coordinate's range (lo, hi), all of one length
+    (floats, ints or Fractions); without it the table holds exact counts.
     """
     basis = tuple(sorted(set().union(*(q.terms for q in diag)) or {1}))
     if len(basis) > 3:
@@ -348,14 +356,14 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
         n_points = math.prod(hi - lo + 1 for lo, hi in m_ranges)
         dtype = np.int64 if n_points < _INT64_SAFE else object
     elif dtype is None:
-        dtype = object if any(np.asarray(w).dtype == object for w in weights) else np.float64
+        dtype = object if np.asarray(weights).dtype == object else np.float64
+    w = None if weights is None else np.asarray(weights, dtype=dtype)
 
     values = _cell_values(shape, basis, scales, offsets)
     cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
     table[(0,) * len(shape)] = 1      # the empty sum
-    for j, rows in enumerate(contribs):
-        w = None if weights is None else np.asarray(weights[j], dtype=dtype)
+    for rows in contribs:
         table = _add_coordinate(table, rows, w)
         if pruned:
             table[cap_mask] = 0
@@ -389,14 +397,14 @@ def _rational_shift(a: np.ndarray) -> Optional[list[Fraction]]:
 
 def dp_for_form(form: QuadraticForm, a: np.ndarray, cap: float, budget: int,
                 m_ranges: Optional[Sequence[tuple[int, int]]] = None,
-                weights: Optional[Sequence[np.ndarray]] = None
+                weights: Optional[np.ndarray] = None
                 ) -> Optional[DiagonalDP]:
     """The value-lattice DP of Q[x - a] over a lattice box, or None when Q is
     not exact diagonal or a is not rational.
 
     Without `m_ranges` the box is the smallest one holding every x with
     Q[x - a] <= cap, which needs a positive form.  `cap` also prunes cells
-    above it (see `diagonal_value_dp`); `weights` pass through.
+    above it (see `diagonal_value_dp`); the weight column passes through.
     """
     if not (form.is_exact and form.is_diagonal):
         return None
@@ -426,14 +434,15 @@ COUNT_METHODS = ("auto", "enumeration", "diagonal-dp")
 def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
                        budget: int, box: Optional[int] = None,
                        floor: float = -math.inf,
-                       weights: Optional[Sequence[np.ndarray]] = None,
+                       weights: Optional[np.ndarray] = None,
                        method: str = "auto") -> ValueDistribution:
     """The distribution of Q[x - a] answering every query up to `cap`.
 
     The points are the box [-box, box]^d, or else the ellipsoid Q[x - a] <=
-    cap, clipped to [-H, H]^d by `weights` (2H + 1 weights per coordinate;
-    without them every point counts 1).  The DP runs for exact diagonal forms
-    with rational shift, on a box only above BOX_DP_POINTS points and not
+    cap, clipped to [-H, H]^d by `weights`, one column of 2H + 1 weights for
+    every coordinate (without it every point counts 1).  The DP runs for
+    exact diagonal forms with rational shift, on a box only above
+    BOX_DP_POINTS points and not
     when its work exceeds the budget while the box fits.  Otherwise a box is
     scanned, keeping values in (floor, cap], and an ellipsoid is enumerated
     (positive forms only).  `method` "enumeration" skips the DP,
@@ -445,7 +454,7 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
     if box is not None:
         m_ranges, n_box = [(-box, box)] * d, (2 * box + 1) ** d
     elif weights is not None:
-        half = len(weights[0]) // 2
+        half = len(weights) // 2
         m_ranges = [(-half, half)] * d
     elif cap < 0:       # the empty ellipsoid
         return ValueDistribution(values=np.empty(0), masses=np.empty(0, np.int64),
@@ -480,8 +489,8 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
     else:
         X = X[np.all(np.abs(X) <= half, axis=1)]
         masses = np.ones(len(X))
-        for j, w in enumerate(weights):
-            masses *= w[X[:, j] + half]
+        for j in range(d):
+            masses *= weights[X[:, j] + half]
     radius = math.sqrt(max(cap, 0.0) / form.q0) + float(np.max(np.abs(a), initial=0.0)) + 1.0
     return ValueDistribution(values=quad_values(form.matrix, a, X), masses=masses,
                              method="enumeration", work=visited, radius=radius)
@@ -506,9 +515,7 @@ def count_ellipsoid_grid(form: QuadraticForm, a: ShiftVector | Sequence[float],
     """
     if not form.is_positive:
         raise ValueError("not elliptic")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a_red, _ = ShiftVector(np.asarray(a, dtype=float)).reduced()
+    a_red, _ = ShiftVector(shift_array(form, a)).reduced()
     dist = value_distribution(form, a_red, max(s_list), budget, method=method)
     return [int(dist.mass_le(s)) for s in s_list], dist.method, dist.work
 
@@ -548,9 +555,7 @@ def enumerate_values(form: QuadraticForm, a, r: float,
         raise ValueError("window must satisfy alpha < beta")
     if r < 0:
         raise ValueError("r must be >= 0")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     dist = value_distribution(form, a, beta, budget, box=math.floor(r), floor=alpha)
     values, mults = dist.spectrum(alpha, beta)
     return ValueSpectrum(values=values, multiplicities=mults, box_radius=float(r),

@@ -159,7 +159,8 @@ class ExactScalar:
         return hash(tuple(sorted(self.terms.items())))
 
     def sign(self) -> int:
-        """Exact sign, decided symbolically one radicand prime at a time.
+        """Exact sign: the certified float filter `_float_sign` when it
+        decides, else symbolically one radicand prime at a time.
 
         With self = A + sqrt(p) B and B != 0: if A = 0 or A and B share a
         sign, that is the sign; otherwise the larger of A^2 and p B^2 wins,
@@ -170,11 +171,32 @@ class ExactScalar:
         if self.is_rational:
             f = self.as_fraction()
             return 1 if f > 0 else -1
+        filtered = self._float_sign()
+        if filtered is not None:
+            return filtered
         p, A, B = self._split()
         sa, sb = A.sign(), B.sign()
         if sa in (0, sb):
             return sb
         return sa * (A * A - ExactScalar(p) * B * B).sign()
+
+    def _float_sign(self) -> int | None:
+        """The sign of the float value if it clears a proven error bound.
+
+        c, sqrt(n) and their product round once each (radicands below 2^53,
+        terms far above underflow) and fsum once more, so the float sum is
+        within 4.0001 * 2^-53 * sum |term| of the value; 2^-50 times the
+        float sum of |term| covers that.  None on overflow or inside it.
+        """
+        try:
+            terms = [float(c) * math.sqrt(n) for n, c in self.terms.items()]
+            total, bound = math.fsum(terms), 2.0 ** -50 * math.fsum(map(abs, terms))
+        except OverflowError:
+            return None
+        if (max(self.terms) >= 2 ** 53 or min(map(abs, terms)) < 2.0 ** -960
+                or not abs(total) > bound or not math.isfinite(bound)):
+            return None
+        return 1 if total > 0 else -1
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0

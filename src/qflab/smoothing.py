@@ -1,9 +1,9 @@
 """Smoothing measures, correction densities, and the expansion F = F0 + sum F_j.
 
-Per coordinate, the lattice measure mu is the uniform weight on [-[R],[R]]
-convolved k times with the uniform weight on [-[r],[r]]; the continuous
-measure nu equals mu convolved with the (k+1)-fold unit-cell density, so its
-density D is a product of per-coordinate factors
+Per coordinate, the lattice measure mu (a `trig.WeightTable`) is the uniform
+weight on [-[R],[R]] convolved k times with the uniform weight on [-[r],[r]];
+the continuous measure nu equals mu convolved with the (k+1)-fold unit-cell
+density, so its density D is a product of per-coordinate factors
 
     D1(x) = sum_m W(m) b_{k+1}(x - m),
 
@@ -18,8 +18,9 @@ runs Horner's rule on that cell's coefficients.  Correction densities D_j contra
 derivatives of D against moments of the (k+1)-fold cell measure; for the
 product density they reduce to sums of products of 1-d factor derivatives,
 enumerated over even multi-indices.  F-values against mu are exact weighted
-lattice sums, queries on one `lattice.value_distribution`; F-values against
-nu and nu_j are importance-sampled Monte Carlo with D as the proposal.
+lattice sums, queries on one `lattice.value_distribution` with mu's weight
+column; F-values against nu and nu_j are importance-sampled Monte Carlo with
+D as the proposal.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import QuadraticForm, ShiftVector
+from .forms import QuadraticForm, shift_array
 from .bounds import error_envelopes
 from .lattice import quad_values, value_distribution
-from .trig import factorized_transform, gamma_estimate
+from .trig import WeightTable, convolve_weights, factorized_transform, gamma_estimate
 from .volume import McEstimate, mc_mean
 
 DEFAULT_MC_SAMPLES = 10 ** 6
@@ -116,33 +117,15 @@ class SmoothingScheme:
     R: float
     r: float
     k: int
-    numerators: np.ndarray      # object ints over offsets [-Hw, Hw]
-    normalizer: int
-    weights: np.ndarray         # floats, sum 1 per coordinate
-
-    @property
-    def HR(self) -> int:
-        return int(self.R)
-
-    @property
-    def hr(self) -> int:
-        return int(self.r)
-
-    @property
-    def half_support(self) -> int:
-        return self.HR + self.k * self.hr
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.half_support, self.half_support + 1)
+    mu: WeightTable             # per-coordinate lattice measure
 
     @property
     def r_bar(self) -> float:
-        return self.hr + 0.5
+        return int(self.r) + 0.5
 
     @property
     def R_bar(self) -> float:
-        return self.HR + 0.5
+        return int(self.R) + 0.5
 
     @property
     def continuous_core(self) -> float:
@@ -157,7 +140,7 @@ class SmoothingScheme:
     def _spline_tables(self) -> tuple[np.ndarray, ...]:
         """Per derivative order o < k, the float coefficients of D1^(o) on
         every unit cell: row t holds the u^t coefficients, column c the cell
-        [c - half_support - (k+1)/2, +1)."""
+        [c - mu.half_support - (k+1)/2, +1)."""
         n = self.k + 1
         ih = _ih_coeffs(n)
         # (n-1)! b_n on the p-th cell of its support, as integer u^t coefficients
@@ -165,10 +148,10 @@ class SmoothingScheme:
                        for i, c in enumerate(ih[:p + 1]))
                    for t in range(n)]
                   for p in range(n)]
-        cells = [np.convolve(self.numerators,
+        cells = [np.convolve(self.mu.numerators,
                              np.array([piece[t] for piece in pieces], dtype=object))
                  for t in range(n)]
-        den = math.factorial(n - 1) * self.normalizer
+        den = math.factorial(n - 1) * self.mu.denominator
         return tuple(
             np.array([[int(v) * math.perm(t, o) / den for v in cells[t]]
                       for t in range(o, n)])
@@ -179,7 +162,7 @@ class SmoothingScheme:
         _check_deriv(deriv, self.k + 1)
         table = self._spline_tables[deriv]
         x = np.asarray(x, dtype=float)
-        left = -self.half_support - (self.k + 1) / 2
+        left = -self.mu.half_support - (self.k + 1) / 2
         cell = np.floor(x - left)
         inside = (cell >= 0) & (cell < table.shape[1])
         idx = np.where(inside, cell, 0).astype(np.intp)
@@ -211,22 +194,13 @@ class SmoothingScheme:
 
 
 def build_scheme(R: float, r: float, k: int) -> SmoothingScheme:
-    """Weight tables by discrete convolution: uniform[-[R],[R]] * uniform[-[r],[r]]^{*k}."""
+    """The scheme with mu = uniform[-[R],[R]] * uniform[-[r],[r]]^{*k}."""
     if not (R >= r >= 0):
         raise ValueError("need R >= r >= 0")
     if k < 1:
         raise ValueError("need k >= 1")
-    HR, hr = int(R), int(r)
-    outer = np.ones(2 * HR + 1, dtype=object)
-    inner = np.ones(2 * hr + 1, dtype=object)
-    acc = outer
-    for _ in range(k):
-        acc = np.convolve(acc, inner)
-    normalizer = (2 * HR + 1) * (2 * hr + 1) ** k
-    weights = (acc / normalizer).astype(float)
     return SmoothingScheme(R=float(R), r=float(r), k=k,
-                           numerators=acc, normalizer=normalizer,
-                           weights=weights)
+                           mu=convolve_weights((int(R),) + (int(r),) * k))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +267,12 @@ class CorrectionDensity:
     """Evaluator of D_j and of the importance ratio D_j / D for a scheme."""
 
     def __init__(self, scheme: SmoothingScheme, j: int, d: int):
-        if j % 2 or j < 2:
-            raise ValueError("correction order j must be even and >= 2")
         if j > scheme.k - 2:
             raise ValueError(f"j = {j} needs k >= {j + 2}")
         self.scheme = scheme
         self.j = j
         self.d = d
-        self.terms = dj_terms(j, d, scheme.k)
+        self.terms = dj_terms(j, d, scheme.k)     # checks that j is even and >= 2
 
     def _factor_cache(self, X: np.ndarray) -> dict[int, np.ndarray]:
         orders = sorted({o for alpha, _ in self.terms for _, o in alpha})
@@ -349,18 +321,13 @@ def _f_mu_grid(form: QuadraticForm, a, s_list: Sequence[float],
                scheme: SmoothingScheme, budget: int, exact: bool) -> list:
     """F(s) for every s in s_list from one weighted value distribution sized
     for the largest s."""
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    if exact:
-        # integer numerators keep the DP in (fast) bigint arithmetic;
-        # one division by the normalizer at the end restores the Fraction
-        wcol = np.array([int(nu) for nu in scheme.numerators], dtype=object)
-    else:
-        wcol = scheme.weights
+    a = shift_array(form, a)
+    # integer numerators keep the exact DP in (fast) bigint arithmetic; one
+    # division by the denominator at the end restores the Fraction
     try:
         dist = value_distribution(form, a, max(s_list), budget,
-                                  weights=[wcol] * form.dim,
+                                  weights=scheme.mu.numerators if exact
+                                  else scheme.mu.weights,
                                   method="diagonal-dp" if exact else "auto")
     except ValueError as exc:
         if not exact:
@@ -368,7 +335,7 @@ def _f_mu_grid(form: QuadraticForm, a, s_list: Sequence[float],
         raise ValueError(f"exact=True needs the diagonal DP: {exc}") from None
     totals = [dist.mass_le(float(s)) for s in s_list]
     if exact:
-        return [Fraction(int(t), scheme.normalizer ** form.dim) for t in totals]
+        return [Fraction(int(t), scheme.mu.denominator ** form.dim) for t in totals]
     return [float(t) for t in totals]
 
 
@@ -419,9 +386,7 @@ def f_nu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
          samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
          workers: int = 1) -> McEstimate:
     """F0(s) = nu{x : Q[x - a] <= s}, Monte Carlo with nu itself as sampler."""
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     return mc_mean(_nu_sampler(form, a, s, scheme, lambda X: np.ones(X.shape[0])),
                    samples, seed, workers)
 
@@ -431,14 +396,8 @@ def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
         workers: int = 1) -> McEstimate:
     """F_j(s) = integral of the indicator against the signed density D_j,
     importance-sampled from nu: E_nu[ I{Q[X-a] <= s} (D_j/D)(X) ]."""
-    if j % 2 or j < 2:
-        raise ValueError("j must be even and >= 2")
-    if j > scheme.k - 2:
-        raise ValueError(f"j = {j} needs k >= {j + 2}")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
-    corr = CorrectionDensity(scheme, j, form.dim)
+    corr = CorrectionDensity(scheme, j, form.dim)      # checks j against k
+    a = shift_array(form, a)
     return mc_mean(_nu_sampler(form, a, s, scheme, corr.ratio),
                    samples, seed, workers)
 
@@ -459,9 +418,7 @@ def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
         raise ValueError("need k >= 2p + 2")
     if not scheme.r <= scheme.R:
         raise ValueError("need r <= R")
-    if isinstance(a, ShiftVector):
-        a = a.a
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     r = scheme.r
     q = form.q
     gam = gamma_estimate(form, max(r * r, 1.0 + 1e-9), T).gamma
@@ -495,8 +452,8 @@ def fhat_mu(form: QuadraticForm, a, ts: np.ndarray,
     (diagonal forms)."""
     if not form.is_diagonal:
         raise ValueError("factorized transform needs a diagonal form")
-    return factorized_transform(np.diagonal(form.matrix), a, ts, scheme.offsets,
-                                scheme.weights)
+    return factorized_transform(np.diagonal(form.matrix), shift_array(form, a), ts,
+                                scheme.mu)
 
 
 def _mu_mean_value(form: QuadraticForm, a: np.ndarray,
@@ -504,8 +461,8 @@ def _mu_mean_value(form: QuadraticForm, a: np.ndarray,
     """E_mu[Q[X - a]] for diagonal forms; the t -> 0 limit of the inversion
     integrand is this minus s."""
     qdiag = np.diagonal(form.matrix)
-    m = scheme.offsets.astype(float)
-    w = scheme.weights
+    m = scheme.mu.offsets.astype(float)
+    w = scheme.mu.weights
     return float(sum(qj * np.dot(w, (m - aj) ** 2)
                      for qj, aj in zip(qdiag, a)))
 
@@ -517,7 +474,7 @@ def fourier_inversion_check(form: QuadraticForm, a, s: float,
     """Reconstruct F(s) from the principal-value inversion integral on [-T, T]
     and compare against the exact weighted sum; the remainder is bounded by
     (1/T) int |Fhat|."""
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     ts = np.linspace(0.0, T, t_nodes + 1)
     fh = fhat_mu(form, a, ts, scheme)
 

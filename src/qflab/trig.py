@@ -1,5 +1,10 @@
 """Normalized trigonometric sums of quadratic forms and their diagnostics.
 
+Every lattice measure is uniform{-h..h} convolved over a tuple of half-widths
+h, held by one `WeightTable`: phi's three-fold weights (`phi_weights`),
+phi_sym's two-fold, f_sum's (2k+1)-fold and the smoothing measure mu.
+`convolve_weights` builds them all and `WeightTable.folded` folds them over +-m.
+
 The triple sum over a box collapses to a single weighted sum by per-coordinate
 self-convolution of the uniform box weight; for diagonal forms the phase then
 splits per coordinate, the modulus of the product is the product of moduli,
@@ -31,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import QuadraticForm
+from .forms import QuadraticForm, shift_array
 from .lattice import quad_values
 from .util import golden_max, weighted_box_sum
 from .volume import mc_mean
@@ -46,36 +51,49 @@ SUP_BLOCK = 2 ** 15         # (alpha, t) cells per block of the sup grid
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Weights of the `fold`-fold self-convolution of uniform{-n..n}."""
+    """Weights of uniform{-h..h} convolved over every half-width h in `halves`."""
 
-    n: int
-    fold: int
-    numerators: np.ndarray   # object dtype ints, index m + fold*n
+    halves: tuple[int, ...]
+    numerators: np.ndarray   # object dtype ints, index m + half_support
     weights: np.ndarray      # floats summing to 1
 
     @property
     def half_support(self) -> int:
-        return self.fold * self.n
+        return sum(self.halves)
 
     @property
     def offsets(self) -> np.ndarray:
         return np.arange(-self.half_support, self.half_support + 1)
 
+    @property
     def denominator(self) -> int:
-        return (2 * self.n + 1) ** self.fold
+        return math.prod(2 * h + 1 for h in self.halves)
+
+    def folded(self, dtype=float) -> np.ndarray:
+        """c_0 = w_0, c_m = 2 w_m for m = 0..half_support, rounded once from
+        the exact numerators: the even weights folded over +-m."""
+        c = self.numerators[self.half_support:].astype(dtype)
+        c[1:] *= 2
+        return c / dtype(self.denominator)
 
 
-def convolve_weights(n: int, fold: int) -> WeightTable:
-    """Exact integer convolution counts, normalized to floats."""
-    if n < 0 or fold < 1:
-        raise ValueError("need n >= 0 and fold >= 1")
-    base = np.ones(2 * n + 1, dtype=object)
-    acc = base
-    for _ in range(fold - 1):
-        acc = np.convolve(acc, base)
-    den = (2 * n + 1) ** fold
-    weights = (acc / den).astype(float)
-    return WeightTable(n=n, fold=fold, numerators=acc, weights=weights)
+def convolve_weights(halves) -> WeightTable:
+    """uniform{-h..h} convolved over `halves` in exact integers, then floats."""
+    halves = tuple(halves)
+    if not halves or min(halves) < 0:
+        raise ValueError("need at least one half-width, each >= 0")
+    acc = np.ones(1, dtype=object)
+    for h in halves:
+        acc = np.convolve(acc, np.ones(2 * h + 1, dtype=object))
+    den = math.prod(2 * h + 1 for h in halves)
+    return WeightTable(halves, acc, (acc / den).astype(float))
+
+
+def phi_weights(s: float) -> WeightTable:
+    """phi_a(t; s)'s weights: uniform{-n..n} three-fold, n = [sqrt(s)]."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    return convolve_weights((math.isqrt(int(s)),) * 3)
 
 
 def _diag_entries(form: QuadraticForm) -> np.ndarray:
@@ -85,22 +103,22 @@ def _diag_entries(form: QuadraticForm) -> np.ndarray:
 
 
 def factorized_transform(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
-                         offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """prod_j sum_m weights[m] e^{i t q_j (m - a_j)^2} on an array of t values.
+                         table: WeightTable) -> np.ndarray:
+    """prod_j sum_m w_m e^{i t q_j (m - a_j)^2}, w from `table`, for an array of t.
 
     Each distinct (q_j, a_j) pair is summed once and raised to its
     multiplicity; t is processed in chunks of TRANSFORM_CHUNK phase entries.
     """
     pairs, mult = np.unique(np.column_stack([qdiag, np.asarray(a, dtype=float)]),
                             axis=0, return_counts=True)
-    m = np.asarray(offsets, dtype=float)
+    m = table.offsets.astype(float)
     ts = np.asarray(ts, dtype=float)
     out = np.ones(len(ts), dtype=complex)
     chunk = max(1, TRANSFORM_CHUNK // len(m))
     for start in range(0, len(ts), chunk):
         tt = ts[start:start + chunk]
         for (qj, aj), k in zip(pairs, mult):
-            z = np.exp(1j * np.outer(tt * qj, (m - aj) ** 2)) @ weights
+            z = np.exp(1j * np.outer(tt * qj, (m - aj) ** 2)) @ table.weights
             out[start:start + chunk] *= z ** k
     return out
 
@@ -108,7 +126,7 @@ def factorized_transform(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
 def phi_factorized_batch(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
                          table: WeightTable) -> np.ndarray:
     """phi_a(t; s) on an array of t values, diagonal forms only."""
-    return np.abs(factorized_transform(qdiag, a, ts, table.offsets, table.weights))
+    return np.abs(factorized_transform(qdiag, a, ts, table))
 
 
 def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
@@ -121,14 +139,13 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
     "auto" picks factorized for diagonal forms, else direct if affordable,
     else mc.
     """
-    a = np.asarray(a, dtype=float)
-    n = int(math.isqrt(int(s))) if s >= 1 else 0
-    table = convolve_weights(n, 3)
+    a = shift_array(form, a)
+    table = phi_weights(s)
     d = form.dim
     if mode == "auto":
         if form.is_diagonal:
             mode = "factorized"
-        elif (6 * n + 1) ** d <= budget:
+        elif len(table.weights) ** d <= budget:
             mode = "direct"
         else:
             mode = "mc"
@@ -139,8 +156,10 @@ def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
             table.weights, d,
             lambda X: np.exp(1j * t * quad_values(form.matrix, a, X)), budget))
     if mode == "mc":
+        n = table.halves[0]
+
         def sampler(rng, cnt):
-            X = rng.integers(-n, n + 1, size=(cnt, d, table.fold)).sum(axis=2)
+            X = rng.integers(-n, n + 1, size=(cnt, d, len(table.halves))).sum(axis=2)
             return np.exp(1j * t * quad_values(form.matrix, a, X))
 
         est = mc_mean(sampler, samples, seed, workers)
@@ -155,9 +174,8 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
     Here `a` is the linear coefficient of the polynomial phase, not a center
     shift.
     """
-    a = np.asarray(a, dtype=float)
-    n = int(r)
-    table = convolve_weights(n, 2 * k + 1)
+    a = shift_array(form, a)
+    table = convolve_weights((int(r),) * (2 * k + 1))
     if mode == "auto":
         mode = "factorized" if form.is_diagonal else "direct"
     if mode == "factorized":
@@ -165,7 +183,7 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
         # constant phase drops out of the modulus
         qdiag = _diag_entries(form)
         return float(abs(factorized_transform(qdiag, -a / (2.0 * qdiag), [t],
-                                              table.offsets, table.weights)[0]))
+                                              table)[0]))
     if mode == "direct":
         return abs(weighted_box_sum(
             table.weights, form.dim,
@@ -182,12 +200,16 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
 def _dirichlet_ratio(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
     """D_n(z) / (2n+1) with the removable singularities at z = 2 pi k filled.
 
-    Clipped to [-1, 1], which is exact for the true ratio; near-singular
-    arguments otherwise amplify sine roundoff above 1.  Extended precision
-    (dtype=np.longdouble) pushes the argument-rounding noise floor near
-    resonances from ~1e-9 down to ~1e-13, which the peak refinements need.
+    z / 2 is reduced mod pi, the ratio's period, so near a resonance both
+    sines see a small argument (rounding (2n+1) z / 2 at full size made
+    phi_sym dip by 2.5e-11 at 3e-10 from t = pi).  Clipped to [-1, 1], exact
+    for the true ratio; near-singular arguments otherwise amplify sine
+    roundoff above 1.  Extended precision (dtype=np.longdouble) lowers the
+    argument-rounding noise floor near resonances, as peak refinements need.
     """
     half = np.asarray(z, dtype=dtype) / dtype(2)
+    pi = np.arccos(dtype(-1))
+    half -= np.round(half / pi) * pi
     s = np.sin(half)
     small = np.abs(s) < 1e-9
     out = np.sin((2 * n + 1) * half) / np.where(small, 1, s) / (2 * n + 1)
@@ -199,18 +221,14 @@ def _dirichlet_ratio(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
 def symmetrized_transform(qdiag: np.ndarray, ts: np.ndarray, n: int, k: int,
                           dtype=float) -> np.ndarray:
     """prod_j sum_u w_u (D_n(2 q_j t u) / (2n+1))^{2k} on an array of t values,
-    w = convolve_weights(n, 2), in `dtype` (np.longdouble for peak values).
+    w = convolve_weights((n, n)), in `dtype` (np.longdouble for peak values).
 
-    Folded over +-u: c_0 = w_0 and c_u = 2 w_u, rounded once from the exact
-    integer weights and summed from u = 2n down.  Each distinct q_j is summed
-    once and raised to its multiplicity; t runs in chunks of SYM_CHUNK.
+    Folded over +-u (`WeightTable.folded`) and summed from u = 2n down, so the
+    smallest weights come first.  Each distinct q_j is summed once and raised
+    to its multiplicity; t runs in chunks of SYM_CHUNK.
     """
-    tri = convolve_weights(n, 2)
-    H = tri.half_support
-    u = np.arange(H, -1, -1, dtype=dtype)     # smallest weights summed first
-    c = tri.numerators[:H + 1].astype(dtype)  # small exact integers
-    c[:-1] *= 2
-    c /= dtype(tri.denominator())
+    c = convolve_weights((n, n)).folded(dtype)[::-1]
+    u = np.arange(len(c) - 1, -1, -1, dtype=dtype)
     q, mult = np.unique(qdiag, return_counts=True)
     ts = np.asarray(ts, dtype=dtype)
     out = np.ones(len(ts), dtype=dtype)
@@ -257,7 +275,7 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
             g *= _dirichlet_ratio(2.0 * t * Z[:, j], n) ** (2 * k)
         return g
 
-    return float(weighted_box_sum(convolve_weights(n, 2).weights, form.dim, term,
+    return float(weighted_box_sum(convolve_weights((n, n)).weights, form.dim, term,
                                   budget))
 
 
@@ -302,8 +320,8 @@ def phi_profile(form: QuadraticForm, a, s: float, T: float,
                 t_res: Optional[float] = None) -> TrigProfile:
     """Fixed-shift profile of phi_a(t; s) on [s^{-1/2}, T] (diagonal forms)."""
     qdiag = _diag_entries(form)
-    a = np.asarray(a, dtype=float)
-    table = convolve_weights(int(math.isqrt(int(s))), 3)
+    a = shift_array(form, a)
+    table = phi_weights(s)
     ts = default_t_grid(s, T, t_res)
     vals = phi_factorized_batch(qdiag, a, ts, table)
     return TrigProfile(s=s, t=ts, values=vals, mode="factorized",
@@ -342,11 +360,8 @@ class _ShiftSup:
     def build(cls, form: QuadraticForm, s: float, a_res: int) -> "_ShiftSup":
         q, coord, mult = np.unique(_diag_entries(form), return_inverse=True,
                                    return_counts=True)
-        table = convolve_weights(int(math.isqrt(int(s))), 3)
-        H = table.half_support
-        m = np.arange(H + 1, dtype=float)
-        c = 2.0 * table.weights[H:]
-        c[0] = table.weights[H]
+        c = phi_weights(s).folded()
+        m = np.arange(len(c), dtype=float)
         alphas = np.arange(a_res // 2 + 1) / a_res
         return cls(q, mult, coord, a_res, m, c,
                    np.cos(2 * math.pi * np.outer(alphas, m)))
@@ -475,8 +490,7 @@ def gamma_estimate(form: QuadraticForm, s: float, T: float,
 def _gamma_heuristic(form: QuadraticForm, s: float, T: float, a_res: int,
                      budget: int, samples: int, seed: int) -> GammaResult:
     d = form.dim
-    n = int(math.isqrt(int(s)))
-    direct_cost = (6 * n + 1) ** d
+    direct_cost = len(phi_weights(s).weights) ** d
     # coarse grids sized to the budget; each (t, a) cell costs one phi call
     n_a = max(min(a_res, 8), 2)
     per_call = min(direct_cost, samples)
@@ -561,10 +575,10 @@ def check_basic_inequality(form: QuadraticForm, a, s: float,
     unstable between sample sets.
     """
     qdiag = _diag_entries(form)
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     d = form.dim
     q = form.q
-    table = convolve_weights(int(math.isqrt(int(s))), 3)
+    table = phi_weights(s)
     rng = np.random.default_rng(seed)
     ts = rng.uniform(*t_range, size=n_samples)
     taus = rng.uniform(*tau_range, size=n_samples)

@@ -42,22 +42,29 @@ def golden_max(f, lo, hi, iters: int = 60):
     `lo` and `hi` are arrays of lane bounds (broadcast against each other),
     `f` maps an array of points to an array of values, and each lane takes
     exactly the branch a scalar search would take on it alone.  Returns the
-    arrays (argmax, max).  Used only for local refinement around grid
-    candidates, where the local unimodality assumption is benign.
+    arrays (argmax, max) of the best point each lane evaluated, the earliest
+    on ties, the final bracket's midpoint included: a search that wanders on
+    a flat peak still returns the best it saw.  Used only for local
+    refinement around grid candidates, where unimodality is benign.
     """
     a, b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    seen = [(c, fc), (d, fd)]
     for _ in range(iters):
         left = fc >= fd          # keep [a, d], else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         fnew = f(x)
+        seen.append((x, fnew))
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fnew, fd), np.where(left, fc, fnew))
     x = (a + b) / 2
-    return x, f(x)
+    seen.append((x, f(x)))
+    xs, fs = (np.array(v) for v in zip(*seen))
+    best = np.argmax(fs, axis=0)[None]     # the first of equal maxima
+    return np.take_along_axis(xs, best, 0)[0], np.take_along_axis(fs, best, 0)[0]
 
 
 def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import QuadraticForm
+from .forms import QuadraticForm, shift_array
 from .lattice import count_ellipsoid, count_ellipsoid_grid, quad_values
 from .util import spawn_rngs, worker_chunks
 
@@ -154,11 +154,11 @@ def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,
         raise ValueError("not indefinite")
     if samples < 10 ** 3:
         raise ValueError("need at least 1e3 samples")
+    a = shift_array(form, a)
     lo0, hi0 = I0
     alpha, beta = I
     if hi0 <= lo0 or beta <= alpha:
         return McEstimate(0.0, 0.0, samples, seed)
-    a = np.asarray(a, dtype=float)
     d = form.dim
     half = R * hi0
     box_vol = (2 * half) ** d
@@ -281,7 +281,7 @@ def check_lemma82(form: QuadraticForm, a, R: float, lam: float,
     """
     if M is None:
         M = sup_norm_functional()
-    a = np.asarray(a, dtype=float)
+    a = shift_array(form, a)
     d = form.dim
     alpha, beta = I
     w, v, _ = _arranged_eigen(form, (0.0, 0.0))

@@ -239,7 +239,7 @@ def test_criterion_09_expansion():
     s_core = 100.0
     F_exact = f_mu(surd, [0.0] * 9, s_core, core_scheme, exact=True)
     count = count_ellipsoid(surd, [0.0] * 9, s_core).count
-    identity_ok = F_exact * (2 * core_scheme.HR + 1) ** 9 == count
+    identity_ok = F_exact * (2 * int(core_scheme.R) + 1) ** 9 == count
     f2_core = f_j(surd, [0.0] * 9, s_core, core_scheme, 2, samples=10 ** 5,
                   seed=5)
     core_ok = abs(f2_core.mean) <= max(3 * f2_core.stderr, 1e-15)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qflab.forms import (ShiftVector, build_form, classify_rationality,
-                         diagonal_form, parse_form_file)
+                         diagonal_form, parse_form_file, shift_array)
 from qflab.scalars import ExactScalar
 
 
@@ -127,3 +127,67 @@ def test_parse_form_file_errors_carry_location():
         parse_form_file("kind: exact\n1\nnonsense\n0\n1\n")
     with pytest.raises(ValueError, match="square"):
         parse_form_file("kind: exact\n1\n0\n0\n")
+
+
+
+_I2 = build_form([[1, 0], [0, 1]])
+_IND2 = build_form([[1.0, 0.0], [0.0, -math.sqrt(2)]], normalize=False)
+_I9 = build_form([[1 if i == j else 0 for j in range(9)] for i in range(9)])
+
+
+def _shift_entry_points():
+    """Public entry points taking a shift: name -> (form, call of the shift)."""
+    from qflab import gaps, lattice, smoothing, trig, volume
+    sch = smoothing.build_scheme(2, 1, 6)
+    return {
+        "count_ellipsoid": (_I2, lambda a: lattice.count_ellipsoid(_I2, a, 4)),
+        "count_ellipsoid_grid": (_I2, lambda a: lattice.count_ellipsoid_grid(_I2, a, [4])),
+        "count_shell": (_I2, lambda a: lattice.count_shell(_I2, a, 2, 1)),
+        "enumerate_values": (_IND2, lambda a: lattice.enumerate_values(
+            _IND2, a, 3, (-1, 1))),
+        "max_gap_positive": (_I2, lambda a: gaps.max_gap_positive(_I2, a, 4, 3)),
+        "max_gap_indefinite": (_IND2, lambda a: gaps.max_gap_indefinite(
+            _IND2, a, 3, (-2, 2))),
+        "oppenheim_scan": (_IND2, lambda a: gaps.oppenheim_scan(
+            _IND2, a, (-0.5, 0.5), [2])),
+        "f_mu": (_I2, lambda a: smoothing.f_mu(_I2, a, 4, sch)),
+        "f_mu_window": (_I2, lambda a: smoothing.f_mu_window(_I2, a, (1, 4), sch)),
+        "f_mu_curve": (_I2, lambda a: smoothing.f_mu_curve(_I2, a, [4], sch)),
+        "f_nu": (_I2, lambda a: smoothing.f_nu(_I2, a, 4, sch, samples=100)),
+        "f_j": (_I2, lambda a: smoothing.f_j(_I2, a, 4, sch, 2, samples=100)),
+        "expansion_residual": (_I9, lambda a: smoothing.expansion_residual(
+            _I9, a, [4], sch, 2, samples=100)),
+        "fhat_mu": (_I2, lambda a: smoothing.fhat_mu(_I2, a, np.array([0.3]), sch)),
+        "fourier_inversion_check": (_I2, lambda a: smoothing.fourier_inversion_check(
+            _I2, a, 4, sch, 1.0, t_nodes=8)),
+        "phi": (_I2, lambda a: trig.phi(_I2, a, 0.3, 4)),
+        "f_sum": (_I2, lambda a: trig.f_sum(_I2, a, 0.3, 2, 1)),
+        "phi_profile": (_I2, lambda a: trig.phi_profile(_I2, a, 4, 1)),
+        "check_basic_inequality": (_I2, lambda a: trig.check_basic_inequality(
+            _I2, a, 4, n_samples=10, probe_points=4)),
+        "delta_error": (_I2, lambda a: volume.delta_error(_I2, a, 4)),
+        "delta_curve": (_I2, lambda a: volume.delta_curve(_I2, a, [4])),
+        "indefinite_volume_mc": (_IND2, lambda a: volume.indefinite_volume_mc(
+            _IND2, a, volume.sup_norm_functional(), 2, (0, 1), (-1, 1), samples=1000)),
+        "check_lemma82": (_IND2, lambda a: volume.check_lemma82(
+            _IND2, a, 2, 1, (-1, 1), samples=1000)),
+    }
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "scalar", "matrix"])
+@pytest.mark.parametrize("entry", sorted(_shift_entry_points()))
+def test_entry_points_refuse_a_shift_of_the_wrong_shape(entry, bad):
+    form, call = _shift_entry_points()[entry]
+    d = form.dim
+    shift = {"short": [0.5] * (d - 1), "long": [0.5] * (d + 1), "scalar": 0.5,
+             "matrix": [[0.5] * d]}[bad]
+    with pytest.raises(ValueError, match="shift of shape"):
+        call(shift)
+
+
+def test_shift_array_accepts_the_right_shape():
+    assert shift_array(_I2, ShiftVector.of([0.5, 0.25])).tolist() == [0.5, 0.25]
+    assert shift_array(_I2, (1, 2)).dtype == float
+    # a short shift used to count 4 points here, against 12 for (0.5, 0.5)
+    from qflab.lattice import count_ellipsoid
+    assert count_ellipsoid(_I2, [0.5, 0.5], 4).count == 12

@@ -255,14 +255,13 @@ def _full_table_dp(diag, shift, m_ranges, cap=None, weights=None, dtype=None):
         if weights is None:
             dtype = np.int64
         else:
-            wdtypes = [np.asarray(w).dtype for w in weights]
-            dtype = object if any(dt == object for dt in wdtypes) else np.float64
+            dtype = object if np.asarray(weights).dtype == object else np.float64
     values = _cell_values(shape, basis, scales, offsets)
     cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
     for j in range(d):
         rows = contribs[j]
-        w = None if weights is None else np.asarray(weights[j], dtype=dtype)
+        w = None if weights is None else np.asarray(weights, dtype=dtype)
         if j == 0:
             for mi in range(rows.shape[0]):
                 idx = tuple(int(v) for v in rows[mi])
@@ -310,9 +309,9 @@ def test_dp_matches_full_table_reference(case, weights):
     w, dtype = {
         "counts": (None, None),
         "object-ints": (None, object),
-        "fractions": ([np.array([Fraction(int(v), 97) for v in col], dtype=object)]
-                      * len(diag), None),
-        "floats": ([col / col.sum()] * len(diag), None),
+        "fractions": (np.array([Fraction(int(v), 97) for v in col], dtype=object),
+                      None),
+        "floats": (col / col.sum(), None),
     }[weights]
     got = diagonal_value_dp(diag, shift, m_ranges, cap=cap, weights=w,
                             dtype=dtype).table
@@ -435,7 +434,7 @@ def test_weighted_dp_mass_matches_enumeration_of_float_clone(coords, s):
     """The weighted `mass_le` of the DP equals the weighted enumeration sum of
     the float clone, away from values attained within MERGE_RTOL of s."""
     form, shift = _random_diagonal(coords, signed=False)
-    weights = [build_scheme(3, 1, 2).weights] * form.dim
+    weights = build_scheme(3, 1, 2).mu.weights
     dp = value_distribution(form, np.array(shift), s, 10 ** 8, weights=weights)
     en = value_distribution(_float_clone(form), np.array(shift), s, 10 ** 8,
                             weights=weights)

@@ -183,6 +183,15 @@ def test_sup_phi_symmetrized_matches_pinned_values(surd9, name, r, value):
         value, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("r", [10.0, 20.0, 40.0])
+def test_sup_phi_symmetrized_reaches_the_integer_plateau(r):
+    """phi_sym(pi; r) = 1 for the integer form I2.  The long-double kernel
+    must fall monotonically away from pi: a dip of 2.5e-11 at 3e-10 from pi
+    (r = 40) steers the search to 1 - 3.1e-12, 8e-10 from pi."""
+    I2 = build_form([[1, 0], [0, 1]])
+    assert sup_phi_symmetrized(I2, 0.5, 4.0, r) == 1.0
+
+
 def test_probe_rejects_bad_k_and_r(surd9):
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):

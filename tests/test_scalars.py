@@ -88,6 +88,54 @@ def test_sign_exact_near_zero():
         assert s > low and s < above
 
 
+def _sign_cases():
+    """Random 4-radicand scalars, exact and near cancellations, and scalars
+    the float filter must leave to the symbolic path."""
+    rng = random.Random(9)
+    radicands = [2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 105]
+    cases = [ExactScalar(terms={n: Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                                for n in [1] + rng.sample(radicands, 4)})
+             for _ in range(200)]
+    s2, s3 = ExactScalar.sqrt(2), ExactScalar.sqrt(3)
+    cases.append((s2 + s3) * (s2 + s3) - (ExactScalar(5) + 2 * ExactScalar.sqrt(6)))
+    f = Fraction(math.sqrt(2))           # the double nearest sqrt(2)
+    for eps in (0, Fraction(1, 10 ** 13), -Fraction(1, 10 ** 13),
+                Fraction(1, 10 ** 17), -Fraction(1, 10 ** 17), Fraction(1, 10 ** 40)):
+        cases.append(s2 - f + eps)
+    big = Fraction(10 ** 30)
+    cases += [big * s2 - big * f, big * (s2 + s3) - big * _decimal_approx([2, 3], 40),
+              ExactScalar(Fraction(1, 10 ** 300)) * s2 - Fraction(1, 10 ** 300) * f]
+    return cases
+
+
+def test_float_filter_agrees_with_the_symbolic_sign(monkeypatch):
+    cases = _sign_cases()
+    filtered = [x.sign() for x in cases]
+    decided = [None if x.is_zero else x._float_sign() for x in cases]
+    monkeypatch.setattr(ExactScalar, "_float_sign", lambda self: None)
+    assert filtered == [x.sign() for x in cases]
+    assert filtered[200] == 0                       # (sqrt2 + sqrt3)^2 - (5 + 2 sqrt6)
+    # the filter decides the clear cases and defers the close ones
+    assert all(v is not None for v in decided[:200] if v != 0)
+    assert decided[201:203] == [None, 1]            # sqrt2 - f, then + 1e-13
+    assert decided[204] is None and decided[206] is None
+
+
+def test_float_filter_spares_the_recursion_on_four_radicand_primes(monkeypatch):
+    """The symbolic recursion splits 3^k times for k primes; the filter
+    decides these 300 scalars over 2, 3, 5, 7 without one split."""
+    rng = random.Random(3)
+    radicands = [2, 3, 5, 7, 6, 10, 14, 15, 21, 35, 30, 42, 70, 105, 210]
+    xs = [ExactScalar(terms={n: Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                             for n in [1] + radicands}) for _ in range(300)]
+    splits = []
+    split = ExactScalar._split
+    monkeypatch.setattr(ExactScalar, "_split",
+                        lambda self: splits.append(1) or split(self))
+    assert [x.sign() for x in xs] == [_decimal_sign(x) for x in xs]
+    assert not splits
+
+
 def test_float_value():
     v = float(ExactScalar(Fraction(1, 2)) + ExactScalar.sqrt(2) * Fraction(3, 4))
     assert v == pytest.approx(0.5 + 0.75 * math.sqrt(2), rel=1e-15)

@@ -16,12 +16,12 @@ from qflab.volume import ellipsoid_volume
 
 def test_build_scheme_examples():
     sch = build_scheme(1, 1, 1)
-    assert sch.numerators.tolist() == [1, 2, 3, 2, 1]
-    assert sch.normalizer == 9
+    assert sch.mu.numerators.tolist() == [1, 2, 3, 2, 1]
+    assert sch.mu.denominator == 9
     # r = 0: point-mass smoothing, mu = Phi
     sch0 = build_scheme(3, 0, 4)
-    assert sch0.numerators.tolist() == [1] * 7
-    assert np.allclose(sch0.weights, 1 / 7)
+    assert sch0.mu.numerators.tolist() == [1] * 7
+    assert np.allclose(sch0.mu.weights, 1 / 7)
 
 
 def test_moments_examples():
@@ -52,7 +52,7 @@ def test_d1_is_cell_convolved_lattice_weights():
     direct = sch.d1(xs)
     n = sch.k + 1
     manual = np.zeros_like(xs)
-    for off, w in zip(sch.offsets, sch.weights):
+    for off, w in zip(sch.mu.offsets, sch.mu.weights):
         manual += w * irwin_hall(xs - off, n)
     assert np.allclose(direct, manual, atol=1e-10)
 
@@ -63,13 +63,13 @@ def _exact_d1(scheme, x, order):
     p = n - 1 - order
     X = Fraction(x)
     total = Fraction(0)
-    for off, num in zip(scheme.offsets, scheme.numerators):
+    for off, num in zip(scheme.mu.offsets, scheme.mu.numerators):
         y = X - int(off) + Fraction(n, 2)
         if not 0 < y < n:
             continue
         total += num * sum((-1) ** i * math.comb(n, i) * (y - i) ** p
                            for i in range(n) if y > i)
-    return total / (scheme.normalizer * math.factorial(p))
+    return total / (scheme.mu.denominator * math.factorial(p))
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -203,7 +203,7 @@ def test_core_identities(identity9):
     s = 200.0
     F_exact = f_mu(identity9, [0.0] * 9, s, sch, exact=True)
     count = count_ellipsoid(identity9, [0.0] * 9, s).count
-    assert F_exact * (2 * sch.HR + 1) ** 9 == count
+    assert F_exact * (2 * int(sch.R) + 1) ** 9 == count
     f2 = f_j(identity9, [0.0] * 9, s, sch, 2, samples=20000, seed=4)
     assert f2.mean == pytest.approx(0.0, abs=max(3 * f2.stderr, 1e-15))
     f0 = f_nu(identity9, [0.0] * 9, s, sch, samples=20000, seed=5)

@@ -13,7 +13,7 @@ from qflab.trig import (check_basic_inequality, check_lemma64,
                         convolve_weights, default_t_grid, f_sum,
                         gamma_estimate, mm, phi, phi_factorized_batch,
                         phi_profile, phi_symmetrized, phi_symmetrized_batch,
-                        rho_of_s, sup_phi_profile)
+                        phi_weights, rho_of_s, sup_phi_profile)
 
 R2 = ExactScalar.sqrt(2)
 D2 = diagonal_form([ExactScalar(1), R2])
@@ -22,18 +22,36 @@ D3_REPEAT = diagonal_form([ExactScalar(1), R2, ExactScalar(1)])
 
 
 def test_convolve_weights_examples():
-    w = convolve_weights(1, 3)
+    w = convolve_weights((1,) * 3)
     assert w.numerators.tolist() == [1, 3, 6, 7, 6, 3, 1]
-    assert w.denominator() == 27
-    w0 = convolve_weights(0, 5)
+    assert w.denominator == 27
+    w0 = convolve_weights((0,) * 5)
     assert w0.weights.tolist() == [1.0]
-    w1 = convolve_weights(2, 1)
+    w1 = convolve_weights((2,))
     assert np.allclose(w1.weights, 0.2)
+
+
+def test_mixed_half_widths_and_the_fold():
+    w = convolve_weights((2, 1))          # the smoothing measure's shape
+    assert w.numerators.tolist() == [1, 2, 3, 3, 3, 2, 1]
+    assert (w.half_support, w.denominator) == (3, 15)
+    assert w.folded().tolist() == [3 / 15, 6 / 15, 4 / 15, 2 / 15]
+    for bad in ((), (1, -1)):
+        with pytest.raises(ValueError, match="half-width"):
+            convolve_weights(bad)
+
+
+def test_phi_weights_refuse_negative_s():
+    assert phi_weights(0.5).numerators.tolist() == [1]
+    I2 = build_form([[1, 0], [0, 1]])
+    for call in (lambda: phi_weights(-5), lambda: phi(I2, [0, 0], 1, -5)):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            call()
 
 
 def test_weight_invariants():
     for n, fold in [(3, 3), (5, 2), (10, 3), (4, 7)]:
-        w = convolve_weights(n, fold)
+        w = convolve_weights((n,) * fold)
         assert abs(w.weights.sum() - 1.0) < 1e-12
         assert np.allclose(w.weights, w.weights[::-1])          # even
         assert np.argmax(w.weights) == len(w.weights) // 2      # peak at 0
@@ -131,14 +149,14 @@ def test_factorized_transform_matches_coordinate_loop():
     a = np.array([0.3, -0.2, 0.3, 0.5, 0.3])      # (1, 0.3) appears twice
     qdiag = np.diagonal(form.matrix)
     ts = np.linspace(-2.5, 3.7, 41)
-    table = convolve_weights(4, 3)
+    table = convolve_weights((4,) * 3)
     want = np.abs(_factor_loop(qdiag, a, ts, table.offsets, table.weights))
     got = phi_factorized_batch(qdiag, a, ts, table)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
     assert phi(form, a, float(ts[7]), 16.0, mode="factorized") == pytest.approx(
         want[7], rel=1e-13, abs=1e-13)
     scheme = build_scheme(8, 2, 4)
-    want = _factor_loop(qdiag, a, ts, scheme.offsets, scheme.weights)
+    want = _factor_loop(qdiag, a, ts, scheme.mu.offsets, scheme.mu.weights)
     assert np.allclose(fhat_mu(form, a, ts, scheme), want, rtol=1e-13, atol=1e-13)
     # f_sum's linear phase becomes a shift of the same transform
     for t in (0.3, 1.7):
@@ -174,7 +192,7 @@ def test_symmetrization_inequality():
 
 def _phi_sym_bruteforce(mat: np.ndarray, t: float, n: int) -> float:
     """Literal double sum over the symmetrized weights, k = 1."""
-    tri = convolve_weights(n, 2)
+    tri = convolve_weights((n,) * 2)
     offs = tri.offsets
     w = tri.weights
     d = mat.shape[0]
@@ -199,7 +217,7 @@ def test_phi_symmetrized_general_branch_vs_bruteforce():
 def _phi_sym_unfolded(qdiag, t: float, n: int, k: int) -> float:
     """Per-coordinate sum over u = -2n..2n of w_u (D_n(2 q t u) / (2n+1))^{2k},
     the kernel written out as its cosine sum."""
-    tri = convolve_weights(n, 2)
+    tri = convolve_weights((n,) * 2)
     j = np.arange(-n, n + 1)
     out = 1.0
     for qj in qdiag:
@@ -268,7 +286,7 @@ def _sup_reference(form, s, ts, a_res):
     """Literal unfolded shift supremum on the alpha grid: per coordinate the
     max over alpha = k / a_res, k < a_res, of
     |sum_{m=-H..H} w_m e^{i t q m^2} e^{-2 pi i alpha m}|, times over coordinates."""
-    table = convolve_weights(int(math.isqrt(int(s))), 3)
+    table = convolve_weights((math.isqrt(int(s)),) * 3)
     m = table.offsets.astype(float)
     shifts = np.exp(-2j * math.pi * np.outer(np.arange(a_res) / a_res, m))
     out = np.ones(len(ts))

@@ -96,23 +96,30 @@ def test_box_scan_memory_is_bounded(scan):
 
 
 def _golden_scalar_reference(f, lo, hi, iters=60):
-    """The scalar golden-section loop golden_max must reproduce bit for bit."""
+    """The scalar golden-section loop golden_max must reproduce bit for bit:
+    it returns the first point of largest value among all it evaluated."""
     g = (math.sqrt(5) - 1) / 2
+    seen = []
+
+    def f_seen(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
     a, b = lo, hi
     c = b - g * (b - a)
     d = a + g * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f_seen(c), f_seen(d)
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
-            fc = f(c)
+            fc = f_seen(c)
         else:
             a, c, fc = c, d, fd
             d = a + g * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+            fd = f_seen(d)
+    f_seen((a + b) / 2)
+    return max(seen, key=lambda pair: pair[1])
 
 
 def _cubic(x):
@@ -132,6 +139,18 @@ def test_golden_lanes_match_scalar_runs():
     # scalar bounds broadcast against array bounds
     xb, _ = golden_max(_cubic, 0.0, hi, iters=40)
     assert xb.shape == hi.shape
+
+
+def test_golden_keeps_the_best_point_on_a_plateau():
+    """Ties on a plateau keep steering the bracket left, so the last bracket
+    of the second lane ends below the plateau; each lane still returns the
+    best point it evaluated."""
+    def plateau(x):
+        return np.minimum(1.0, 2.0 - 50.0 * np.abs(x - 0.5))
+
+    xs, vs = golden_max(plateau, np.array([0.0, 0.3]), np.array([1.0, 0.9]), iters=40)
+    assert vs.tolist() == [1.0, 1.0]
+    assert plateau(xs).tolist() == [1.0, 1.0]
 
 
 def test_golden_scalar_is_the_old_loop(surd9):
