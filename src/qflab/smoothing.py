@@ -14,13 +14,16 @@ table is the convolution of the integer weight numerators with the k+1
 polynomial pieces of b_{k+1}, built in exact integers, differentiated exactly
 for every order and rounded to float once (de Boor, "A Practical Guide to
 Splines", ch. VII).  An evaluation finds each point's cell and u once and
-runs Horner's rule on that cell's coefficients.  Correction densities D_j contract
-derivatives of D against moments of the (k+1)-fold cell measure; for the
-product density they reduce to sums of products of 1-d factor derivatives,
-enumerated over even multi-indices.  F-values against mu are exact weighted
-lattice sums, queries on one `lattice.value_distribution` with mu's weight
-column; F-values against nu and nu_j are importance-sampled Monte Carlo with
-D as the proposal.
+runs Horner's rule on that cell's coefficients.
+
+Correction densities D_j contract derivatives of D against moments of the
+(k+1)-fold cell measure.  That measure is a product measure, so
+sum_j D_j = prod_c b(d/dx_c) D with the 1-d generating function
+b(z) = 1 / (1 + sum_{even o >= 2} m_o z^o / o!), and D_j / D is the z^j
+coefficient of a truncated product of per-coordinate factor polynomials.
+F-values against mu are exact weighted lattice sums, queries on one
+`lattice.value_distribution` with mu's weight column; F-values against nu
+and nu_j are importance-sampled Monte Carlo with D as the proposal.
 """
 
 from __future__ import annotations
@@ -208,101 +211,62 @@ def build_scheme(R: float, r: float, k: int) -> SmoothingScheme:
 # ---------------------------------------------------------------------------
 
 
-def _even_compositions(j: int):
-    """Ordered compositions of even j into even parts >= 2."""
-    if j == 0:
-        yield ()
-        return
-    for first in range(2, j + 1, 2):
-        for rest in _even_compositions(j - first):
-            yield (first,) + rest
-
-
-def _even_multiindices(total: int, d: int):
-    """Sparse even multi-indices {coord: order} with orders >= 2 summing to total."""
-    def rec(remaining: int, start: int):
-        if remaining == 0:
-            yield {}
-            return
-        for c in range(start, d):
-            for o in range(2, remaining + 1, 2):
-                for rest in rec(remaining - o, c + 1):
-                    yield {c: o, **rest}
-    yield from rec(total, 0)
-
-
 @lru_cache(maxsize=None)
-def dj_terms(j: int, d: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], float], ...]:
-    """D_j contraction terms for a d-dim product density: pairs (alpha, coeff)
-    with alpha a sparse multi-index of even derivative orders, so that
-    D_j(x) = sum_terms coeff * prod_{(c,o) in alpha} D1^{(o)}(x_c) * prod_{others} D1(x_c)."""
-    if j % 2 or j < 2:
-        raise ValueError("j must be an even integer >= 2")
-    acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for eta in _even_compositions(j):
-        m = len(eta)
-        sign = Fraction((-1) ** m)
-        for betas in _product_of_multiindices(eta, d):
-            coeff = sign
-            alpha: dict[int, int] = {}
-            for beta in betas:
-                for c, o in beta.items():
-                    coeff *= moments_pi(k, (o,)) / math.factorial(o)
-                    alpha[c] = alpha.get(c, 0) + o
-            key = tuple(sorted(alpha.items()))
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-    return tuple((key, float(v)) for key, v in sorted(acc.items()) if v != 0)
+def _inverse_moment_series(j: int, k: int) -> tuple[float, ...]:
+    """b_0..b_j of b(z) = 1 / (1 + a(z)), a(z) = sum_{even o >= 2} m_o z^o / o!
+    with m_o the 1-d moments of the (k+1)-fold cell measure; exact, rounded once.
 
-
-def _product_of_multiindices(eta, d):
-    if not eta:
-        yield ()
-        return
-    for head in _even_multiindices(eta[0], d):
-        for tail in _product_of_multiindices(eta[1:], d):
-            yield (head,) + tail
+    The cell measure is a product measure, so its moment operator factors as
+    prod_c (1 + a(d/dx_c)) and the sum of the D_j is prod_c b(d/dx_c) D."""
+    a = [Fraction(0)] * (j + 1)
+    for o in range(2, j + 1, 2):
+        a[o] = moments_pi(k, (o,)) / math.factorial(o)
+    b = [Fraction(1)] + [Fraction(0)] * j
+    for n in range(2, j + 1, 2):
+        b[n] = -sum(a[o] * b[n - o] for o in range(2, n + 1, 2))
+    return tuple(float(v) for v in b)
 
 
 class CorrectionDensity:
     """Evaluator of D_j and of the importance ratio D_j / D for a scheme."""
 
-    def __init__(self, scheme: SmoothingScheme, j: int, d: int):
+    def __init__(self, scheme: SmoothingScheme, j: int):
+        if j % 2 or j < 2:
+            raise ValueError("j must be an even integer >= 2")
         if j > scheme.k - 2:
             raise ValueError(f"j = {j} needs k >= {j + 2}")
         self.scheme = scheme
         self.j = j
-        self.d = d
-        self.terms = dj_terms(j, d, scheme.k)     # checks that j is even and >= 2
-
-    def _factor_cache(self, X: np.ndarray) -> dict[int, np.ndarray]:
-        orders = sorted({o for alpha, _ in self.terms for _, o in alpha})
-        cache = {0: self.scheme.d1(X, 0)}
-        for o in orders:
-            cache[o] = self.scheme.d1(X, o)
-        return cache
-
-    def _ratio(self, cache: dict[int, np.ndarray]) -> np.ndarray:
-        base = cache[0]
-        out = np.zeros(base.shape[0])
-        for alpha, coeff in self.terms:
-            term = np.full(base.shape[0], coeff)
-            for c, o in alpha:
-                term = term * cache[o][:, c] / base[:, c]
-            out += term
-        return out
 
     def ratio(self, X: np.ndarray) -> np.ndarray:
-        """(D_j / D)(x) per row of X; rows must lie inside the support of D."""
-        return self._ratio(self._factor_cache(X))
+        """(D_j / D)(x) per row of X; rows must lie inside the support of D.
+
+        The z^j coefficient of prod_c sum_{even o <= j} b_o z^o r_o(x_c) with
+        r_o = D1^(o) / D1, from one truncated product over the coordinates:
+        cols[i] holds the z^(2i+2) coefficient, the z^0 coefficient is 1
+        throughout.  The columns grow from 0 in coordinate order (not by a
+        pairwise np.sum), so j = 2 adds its d terms as a plain running sum."""
+        b = _inverse_moment_series(self.j, self.scheme.k)
+        base = self.scheme.d1(X, 0)
+        factors = [(b[o] * self.scheme.d1(X, o)) / base
+                   for o in range(2, self.j + 1, 2)]
+        cols = [np.zeros(base.shape[0]) for _ in factors]
+        for c in range(base.shape[1]):
+            f = [r[:, c] for r in factors]
+            for i in reversed(range(len(cols))):
+                acc = cols[i] + f[i]
+                for m in range(i):
+                    acc += cols[m] * f[i - 1 - m]
+                cols[i] = acc
+        return cols[-1]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """D_j(x) per row of X; 0 outside the support of D."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cache = self._factor_cache(X)
-        dens = np.prod(cache[0], axis=1)
+        dens = density(self.scheme, X)
         inside = dens > 0
         out = np.zeros(X.shape[0])
-        out[inside] = self._ratio({o: v[inside] for o, v in cache.items()}) * dens[inside]
+        out[inside] = self.ratio(X[inside]) * dens[inside]
         return out
 
 
@@ -396,7 +360,7 @@ def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
         workers: int = 1) -> McEstimate:
     """F_j(s) = integral of the indicator against the signed density D_j,
     importance-sampled from nu: E_nu[ I{Q[X-a] <= s} (D_j/D)(X) ]."""
-    corr = CorrectionDensity(scheme, j, form.dim)      # checks j against k
+    corr = CorrectionDensity(scheme, j)  # checks j against k
     a = shift_array(form, a)
     return mc_mean(_nu_sampler(form, a, s, scheme, corr.ratio),
                    samples, seed, workers)
@@ -483,17 +447,11 @@ def fourier_inversion_check(form: QuadraticForm, a, s: float,
     integrand[1:] = z.imag / ts[1:]
     integrand[0] = _mu_mean_value(form, a, scheme) - s  # limit at t -> 0
 
-    dt = ts[1] - ts[0]
-    trap = np.full(t_nodes + 1, dt)
-    trap[0] = trap[-1] = dt / 2
-    reconstructed = 0.5 - float(np.dot(trap, integrand)) / math.pi
-    remainder_bound = 2.0 / T * float(np.dot(trap, np.abs(fh)))
+    reconstructed = 0.5 - float(np.trapezoid(integrand, ts)) / math.pi
+    remainder_bound = 2.0 / T * float(np.trapezoid(np.abs(fh), ts))
 
     # quadrature tolerance: compare against the half-resolution grid
-    coarse = integrand[::2]
-    trap_c = np.full(len(coarse), 2 * dt)
-    trap_c[0] = trap_c[-1] = dt
-    rec_coarse = 0.5 - float(np.dot(trap_c, coarse)) / math.pi
+    rec_coarse = 0.5 - float(np.trapezoid(integrand[::2], ts[::2])) / math.pi
     quad_tol = abs(reconstructed - rec_coarse) + 1e-12
 
     exact = f_mu(form, a, s, scheme, budget=budget)

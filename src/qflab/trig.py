@@ -299,6 +299,8 @@ class TrigProfile:
 def _grid_spec(s: float, T: float,
                t_res: Optional[float]) -> tuple[float, float, int, bool]:
     """(t0, step, uniform nodes, whether T is appended) of the default t-grid."""
+    if not s > 0:
+        raise ValueError("s must be > 0")
     t0 = 1.0 / math.sqrt(s)
     if T < t0:
         raise ValueError("need T >= s^(-1/2)")

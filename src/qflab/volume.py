@@ -85,12 +85,21 @@ def ellipsoid_volume(form: QuadraticForm, s: float) -> float:
     return s ** (form.dim / 2) * unit_ball_volume(form.dim) / math.sqrt(det)
 
 
-def delta_error(form: QuadraticForm, a, s: float, budget: int = 10 ** 8,
-                method: str = "auto") -> float:
-    """Delta(s, Q, a) = |vol_Z(E_s + a) - vol E_s| / vol E_s for a single shift."""
+def _delta_volume(form: QuadraticForm, s: float) -> float:
+    """vol E_s as the denominator of Delta(s); refuses s <= 0 and a volume
+    that underflows to 0."""
     if s <= 0:
         raise ValueError("s must be > 0")
     vol = ellipsoid_volume(form, s)
+    if vol == 0:
+        raise ValueError(f"vol E_s underflows to 0 at s = {s}")
+    return vol
+
+
+def delta_error(form: QuadraticForm, a, s: float, budget: int = 10 ** 8,
+                method: str = "auto") -> float:
+    """Delta(s, Q, a) = |vol_Z(E_s + a) - vol E_s| / vol E_s for a single shift."""
+    vol = _delta_volume(form, s)
     cnt = count_ellipsoid(form, a, s, budget=budget, method=method).count
     return abs(cnt - vol) / vol
 
@@ -100,12 +109,10 @@ def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
     """Delta(s) on an s-grid; one count pass, sized for the largest s, serves
     every grid point."""
     s_list = [float(s) for s in s_list]
-    if any(s <= 0 for s in s_list):
-        raise ValueError("s must be > 0")
+    vols = [_delta_volume(form, s) for s in s_list]
     counts, _, _ = count_ellipsoid_grid(form, a, s_list, budget=budget)
     rows = []
-    for s, cnt in zip(s_list, counts):
-        vol = ellipsoid_volume(form, s)
+    for s, cnt, vol in zip(s_list, counts, vols):
         delta = abs(cnt - vol) / vol
         rows.append({"s": s, "count": cnt, "volume": vol,
                      "delta": delta, "s_delta": s * delta})
@@ -141,6 +148,19 @@ def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
                       samples=n, seed=seed)
 
 
+def _box_volume_mc(half: float, d: int, indicator, samples: int, seed: int,
+                   workers: int) -> McEstimate:
+    """Monte Carlo volume of {x : indicator(x)} inside [-half, half]^d: box
+    volume times the indicator mean under uniform sampling of the box."""
+    box_vol = (2 * half) ** d
+
+    def sampler(rng, n):
+        x = rng.uniform(-half, half, size=(n, d))
+        return indicator(x).astype(float) * box_vol
+
+    return mc_mean(sampler, samples, seed, workers)
+
+
 def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,
                          R: float, I0: tuple[float, float],
                          I: tuple[float, float], samples: int = 10 ** 6,
@@ -154,25 +174,22 @@ def indefinite_volume_mc(form: QuadraticForm, a, M: MinkowskiFunctional,
         raise ValueError("not indefinite")
     if samples < 10 ** 3:
         raise ValueError("need at least 1e3 samples")
+    if not R > 0:
+        raise ValueError("R must be > 0")
     a = shift_array(form, a)
     lo0, hi0 = I0
     alpha, beta = I
     if hi0 <= lo0 or beta <= alpha:
         return McEstimate(0.0, 0.0, samples, seed)
-    d = form.dim
-    half = R * hi0
-    box_vol = (2 * half) ** d
     mat = form.matrix
 
-    def sampler(rng, n):
-        x = rng.uniform(-half, half, size=(n, d))
+    def indicator(x):
         mvals = M(x)
         q = quad_values(mat, a, x)
-        ind = ((mvals >= R * lo0) & (mvals <= R * hi0)
-               & (q > alpha) & (q <= beta))
-        return ind.astype(float) * box_vol
+        return ((mvals >= R * lo0) & (mvals <= R * hi0)
+                & (q > alpha) & (q <= beta))
 
-    return mc_mean(sampler, samples, seed, workers)
+    return _box_volume_mc(R * hi0, form.dim, indicator, samples, seed, workers)
 
 
 def _arranged_eigen(form: QuadraticForm, I: tuple[float, float]):
@@ -233,12 +250,12 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
     the predicates u_i c >= lo0 and u_i c > hi0, and the sum is read off one
     cumulative table as cum[i1] - cum[i0].
     """
-    if not form.is_indefinite:
-        raise ValueError("not indefinite")
     d = form.dim
-    w, v, (alpha, beta) = _arranged_eigen(form, I)
+    m0, w, _ = m0_functional(form, M)        # checks that Q is indefinite
+    if d < 3:
+        raise ValueError("the R^(d-2) limit needs d >= 3")
+    _, _, (alpha, beta) = _arranged_eigen(form, I)
     n = int(np.sum(w > 0))
-    scale = 1.0 / np.sqrt(np.abs(w))
     lo0, hi0 = I0
     if hi0 <= lo0 or beta <= alpha:
         return McEstimate(0.0, 0.0, samples, seed)
@@ -261,7 +278,7 @@ def indefinite_limit_formula(form: QuadraticForm, M: MinkowskiFunctional,
         g1 /= np.linalg.norm(g1, axis=1, keepdims=True)
         g2 /= np.linalg.norm(g2, axis=1, keepdims=True)
         eta = np.concatenate([g1, g2], axis=1)
-        c = M((eta * scale) @ v.T)
+        c = m0(eta)
         i0 = _first_node(us, c, lambda uc: uc >= lo0)
         i1 = _first_node(us, c, lambda uc: uc > hi0)
         return (cum[i1] - cum[i0]) * area * prefactor
@@ -316,14 +333,7 @@ def mc_ellipsoid_volume(form: QuadraticForm, s: float, samples: int = 10 ** 5,
     """Box-sampling MC estimate of vol E_s; cross-check for the closed form."""
     if not form.is_positive:
         raise ValueError("not elliptic")
-    d = form.dim
     half = math.sqrt(s / form.q0) * (1 + 1e-12)
-    box_vol = (2 * half) ** d
     mat = form.matrix
-
-    def sampler(rng, n):
-        x = rng.uniform(-half, half, size=(n, d))
-        vals = quad_values(mat, 0.0, x)
-        return (vals <= s).astype(float) * box_vol
-
-    return mc_mean(sampler, samples, seed, workers)
+    return _box_volume_mc(half, form.dim, lambda x: quad_values(mat, 0.0, x) <= s,
+                          samples, seed, workers)

@@ -386,6 +386,29 @@ def test_bad_s_grid_exits_1(i2_file, capsys, param, reason):
     assert _fails(["delta-curve", "--form", i2_file, "-p", param], capsys) == reason
 
 
+FORM_I9 = "kind: exact\n" + "".join(f"{int(i == j)}\n" for i in range(9)
+                                   for j in range(9))
+FORM_H2 = "kind: exact\n1\n0\n0\n-2\n"
+
+
+@pytest.mark.parametrize("form_text,argv,reason", [
+    (FORM_I2, ["gamma-curve", "-p", "s_grid=0"], "s must be > 0"),
+    (FORM_I2, ["thm51", "-p", "s=0", "-p", "Lambda=1"], "s must be > 0"),
+    (FORM_Q3, ["volume-8", "-p", "R_grid=0"], "R must be > 0"),
+    (FORM_Q3, ["volume-8", "-p", "R_grid=8,-1"], "R must be > 0"),
+    (FORM_H2, ["volume-8"], "the R^(d-2) limit needs d >= 3"),
+    (FORM_I9, ["delta-curve", "-p", "s_grid=1e-300"],
+     "vol E_s underflows to 0 at s = 1e-300"),
+    (FORM_I9, ["raw-op", "-p", "op=delta-error", "-p", "s=1e-300"],
+     "vol E_s underflows to 0 at s = 1e-300"),
+], ids=["gamma-s0", "thm51-s0", "volume8-R0", "volume8-Rneg", "volume8-d2",
+        "delta-curve-underflow", "delta-error-underflow"])
+def test_out_of_range_values_exit_1(tmp_path, capsys, form_text, argv, reason):
+    p = tmp_path / "q.form"
+    p.write_text(form_text)
+    assert _fails([*argv, "--form", str(p)], capsys) == reason
+
+
 def test_missing_raw_op_key_is_named(i2_file, capsys):
     reason = _fails(["raw-op", "--form", i2_file, "-p", "op=count-ellipsoid"],
                     capsys)

@@ -8,7 +8,7 @@ from qflab.forms import build_form, diagonal_form
 from qflab.lattice import count_ellipsoid
 from qflab.scalars import ExactScalar
 from qflab.smoothing import (CorrectionDensity, build_scheme, density,
-                             dj_terms, f_j, f_mu, f_mu_curve, f_nu,
+                             f_j, f_mu, f_mu_curve, f_nu,
                              fourier_inversion_check, irwin_hall,
                              moments_pi)
 from qflab.volume import ellipsoid_volume
@@ -120,23 +120,98 @@ def test_d1_core_and_mass():
     assert np.all(sch.d1(xs2) >= -1e-15)
 
 
-def test_dj_terms_match_paper_structure():
-    # D_2 = -(m2/2) sum_c d2/dx_c^2; for d = 2, k = 4
-    terms = dict(dj_terms(2, 2, 4))
-    m2 = float(moments_pi(4, (2,)))
-    assert set(terms) == {(((0, 2),)), (((1, 2),))}
-    for coeff in terms.values():
-        assert coeff == pytest.approx(-m2 / 2)
-    # D_4 coefficients: -m4/24 + m2^2/4 on 4th, +m2^2/4 on mixed (2,2)
-    terms4 = dict(dj_terms(4, 2, 4))
-    m4 = float(moments_pi(4, (4,)))
-    assert terms4[((0, 4),)] == pytest.approx(-m4 / 24 + m2 * m2 / 4)
-    assert terms4[((0, 2), (1, 2))] == pytest.approx(m2 * m2 / 4)
+def _even_compositions(j):
+    """Ordered compositions of even j into even parts >= 2."""
+    if j == 0:
+        yield ()
+        return
+    for first in range(2, j + 1, 2):
+        for rest in _even_compositions(j - first):
+            yield (first,) + rest
+
+
+def _even_multiindices(total, d):
+    """Sparse even multi-indices {coord: order} with orders >= 2 summing to total."""
+    def rec(remaining, start):
+        if remaining == 0:
+            yield {}
+            return
+        for c in range(start, d):
+            for o in range(2, remaining + 1, 2):
+                for rest in rec(remaining - o, c + 1):
+                    yield {c: o, **rest}
+    yield from rec(total, 0)
+
+
+def _product_of_multiindices(eta, d):
+    if not eta:
+        yield ()
+        return
+    for head in _even_multiindices(eta[0], d):
+        for tail in _product_of_multiindices(eta[1:], d):
+            yield (head,) + tail
+
+
+def _composition_ratio(scheme, j, X):
+    """D_j / D by the composition expansion: D_j = sum over compositions eta
+    of j into even parts of (-1)^len(eta) prod_i (sum_{|beta| = eta_i}
+    m_beta / beta! d^beta) D, with the terms merged per multi-index alpha."""
+    d = X.shape[1]
+    acc = {}
+    for eta in _even_compositions(j):
+        for betas in _product_of_multiindices(eta, d):
+            coeff = Fraction((-1) ** len(eta))
+            alpha = {}
+            for beta in betas:
+                for c, o in beta.items():
+                    coeff *= moments_pi(scheme.k, (o,)) / math.factorial(o)
+                    alpha[c] = alpha.get(c, 0) + o
+            key = tuple(sorted(alpha.items()))
+            acc[key] = acc.get(key, Fraction(0)) + coeff
+    base = scheme.d1(X, 0)
+    out = np.zeros(X.shape[0])
+    for alpha, coeff in sorted(acc.items()):
+        if coeff == 0:
+            continue
+        term = np.full(X.shape[0], float(coeff))
+        for c, o in alpha:
+            term = term * scheme.d1(X, o)[:, c] / base[:, c]
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ratio_matches_composition_expansion(d):
+    sch = build_scheme(12, 3, 8)
+    X = sch.sample(np.random.default_rng(11), 5000, d)
+    got = CorrectionDensity(sch, 2).ratio(X)
+    assert np.array_equal(got, _composition_ratio(sch, 2, X))
+    for j in (4, 6):
+        got = CorrectionDensity(sch, j).ratio(X)
+        want = _composition_ratio(sch, j, X)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_ratio_matches_paper_coefficients():
+    # D_2/D = -(m2/2) sum_c r_2(x_c) and
+    # D_4/D = (-m4/24 + m2^2/4) sum_c r_4(x_c) + (m2^2/4) sum_{c<c'} r_2(x_c) r_2(x_c')
+    # with r_o = D1^(o) / D1
+    sch = build_scheme(12, 3, 6)
+    X = sch.sample(np.random.default_rng(12), 2000, 3)
+    m2 = float(moments_pi(sch.k, (2,)))
+    m4 = float(moments_pi(sch.k, (4,)))
+    base = sch.d1(X, 0)
+    r2, r4 = sch.d1(X, 2) / base, sch.d1(X, 4) / base
+    want2 = -m2 / 2 * r2.sum(axis=1)
+    assert CorrectionDensity(sch, 2).ratio(X) == pytest.approx(want2, rel=1e-12)
+    mixed = sum(r2[:, c] * r2[:, e] for c in range(3) for e in range(c + 1, 3))
+    want4 = (-m4 / 24 + m2 * m2 / 4) * r4.sum(axis=1) + m2 * m2 / 4 * mixed
+    assert CorrectionDensity(sch, 4).ratio(X) == pytest.approx(want4, rel=1e-12)
 
 
 def test_dj_vanishes_on_core_and_outside():
     sch = build_scheme(20, 1, 6)
-    corr = CorrectionDensity(sch, 2, 3)
+    corr = CorrectionDensity(sch, 2)
     rng = np.random.default_rng(2)
     core = sch.continuous_core
     X_core = rng.uniform(-core, core, size=(200, 3))
@@ -154,7 +229,7 @@ def test_dj_vanishes_on_core_and_outside():
 def test_dj_magnitude_envelope():
     # |D_j| <= C r^{-j-d} on its support, C fitted and finite
     sch = build_scheme(12, 2, 6)
-    corr = CorrectionDensity(sch, 2, 2)
+    corr = CorrectionDensity(sch, 2)
     rng = np.random.default_rng(3)
     X = rng.uniform(-sch.continuous_support, sch.continuous_support,
                     size=(20000, 2))
