@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def cluster_levels_m(s: float, T: float, gamma_hat: float, kappa: float,
 
 
 def cluster_structure(profile: TrigProfile, s: float, kappa: float,
-                      Lambda: float, levels: Optional[int] = None,
-                      alpha: float = -1.0) -> list[ClusterReport]:
+                      Lambda: float, alpha: float = -1.0) -> list[ClusterReport]:
     """Level sets B_l of phi/Lambda and their small-cluster / large-gap dichotomy.
 
     For each level l the sampled points with phi/Lambda in [2^-l-1, 2^-l] are
@@ -125,9 +124,8 @@ def cluster_structure(profile: TrigProfile, s: float, kappa: float,
     while 2.0 ** (-(l_gamma + 1)) >= gamma_hat:
         l_gamma += 1
     m = cluster_levels_m(s, float(ts[-1]), gamma_hat, kappa, alpha)
-    l_max = m if levels is None else min(m, l_gamma + levels - 1)
     reports = []
-    for l in range(l_gamma, l_max + 1):
+    for l in range(l_gamma, m + 1):
         lo, hi = 2.0 ** (-l - 1), 2.0 ** (-l)
         pts = ts[(phin >= lo) & (phin <= hi)]
         delta = 4.0 ** ((l + 1) / kappa) / s

@@ -18,6 +18,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -450,6 +451,11 @@ _CONFIG_SECTIONS = {"experiment": ("kind", "form"), "params": None,
                     "run": ("seed", "workers", "budget", "out", "format")}
 
 
+def _budget(text) -> int:
+    """A budget as a config file or --budget writes it: 1000000000 or 1e9."""
+    return int(Fraction(text))
+
+
 def _config_from_file(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str    # keys are case-sensitive: T, R, I0, Lambda, N
@@ -477,14 +483,19 @@ def _config_from_file(path: str) -> ExperimentConfig:
         params=params,
         seed=int(run_sec.get("seed", 0)),
         workers=int(run_sec.get("workers", 1)),
-        budget=int(float(run_sec.get("budget", 10 ** 9))),
+        budget=_budget(run_sec.get("budget", 10 ** 9)),
         out=run_sec.get("out") or None,
         format=run_sec.get("format", "json"),
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):   # exit 1 as a validation error; 2 is a budget refusal
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="qflab",
         description="experiments on lattice points and values of quadratic forms")
     ap.add_argument("kind", nargs="?", choices=EXPERIMENT_KINDS,
@@ -495,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="form file (kind: exact|float header)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--workers", type=int, default=None)
-    ap.add_argument("--budget", type=int, default=None)
+    ap.add_argument("--budget", type=_budget, default=None)
     ap.add_argument("--out", help="output path (default: stdout)")
     ap.add_argument("--format", choices=("csv", "json"), default=None)
     ap.add_argument("--columns", help="comma-separated CSV column selection")
@@ -505,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_file(args.config) if args.config else ExperimentConfig(kind="raw-op")
         for name in ("kind", "form_path", "seed", "workers", "budget", "out",
                      "format"):

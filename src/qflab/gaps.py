@@ -31,10 +31,10 @@ class GapReport:
 
 
 def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
-                     budget: int = 10 ** 9, sample_size: int = 5) -> GapReport:
+                     budget: int = 10 ** 9) -> GapReport:
     """Windowed maximal gap between consecutive values of a positive form in
     [tau, tau + horizon]; an approximation of the ray supremum, reported as
-    such."""
+    such, with the five largest gaps as a sample."""
     if not form.is_positive:
         raise ValueError("not elliptic")
     if horizon <= 0:
@@ -49,7 +49,7 @@ def max_gap_positive(form: QuadraticForm, a, tau: float, horizon: float,
     gaps = np.diff(inside)
     order = np.argsort(gaps)[::-1]
     top = [(float(inside[i]), float(inside[i + 1]), float(gaps[i]))
-           for i in order[:sample_size]]
+           for i in order[:5]]
     imax = int(order[0])
     return GapReport(window=(tau, hi), max_gap=float(gaps[imax]),
                      achieving_pair=(float(inside[imax]), float(inside[imax + 1])),
@@ -81,13 +81,12 @@ def max_gap_indefinite(form: QuadraticForm, a, r: float,
 
 
 def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
-                   r_schedule: Sequence[float], budget: int = 10 ** 8,
-                   exclude_zero: bool = True) -> dict:
-    """Scan growing boxes for a value of Q[x-a] in the target interval.
+                   r_schedule: Sequence[float], budget: int = 10 ** 8) -> dict:
+    """Scan growing boxes for a nonzero value of Q[x-a] in the target interval.
 
-    With `exclude_zero`, the trivial value at x = 0 (and exact zeros) is
-    ignored, which makes targets like (-eps, eps) probe m(Q) = 0.  Exhaustion
-    of the schedule is reported, never treated as a falsification.
+    The trivial value at x = 0 (and exact zeros) is ignored, which makes
+    targets like (-eps, eps) probe m(Q) = 0.  Exhaustion of the schedule is
+    reported, never treated as a falsification.
     """
     alpha, beta = target
     if not alpha < beta:
@@ -99,10 +98,8 @@ def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
         witness, value = None, math.inf
         for X in box_blocks(math.floor(r), d, budget):
             vals = quad_values(form.matrix, a, X)
-            mask = (vals > alpha) & (vals <= beta)
-            if exclude_zero:
-                mask &= np.abs(vals) > MERGE_RTOL
-            hits = np.flatnonzero(mask)
+            hits = np.flatnonzero((vals > alpha) & (vals <= beta)
+                                  & (np.abs(vals) > MERGE_RTOL))
             if len(hits):
                 best = hits[np.argmin(np.abs(vals[hits]))]
                 # strict: the first minimum over the whole box wins, as in argmin

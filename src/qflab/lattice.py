@@ -21,8 +21,8 @@ for the largest threshold answers every threshold.
   Each coordinate shift-adds only the bounding box of the table's nonzero
   cells (early partial sums fill a small corner), while work and budget are
   charged for the full box;
-* Cholesky-pruned enumeration (Fincke-Pohst style) of an ellipsoid;
-* a `util.box_blocks` scan of a full box B(r), keeping only windowed values.
+* else one loop over point blocks of at most `util.BOX_CHUNK` rows, from the
+  pruned enumeration of an ellipsoid (`EllipsoidBlocks`) or a box B(r).
 """
 
 from __future__ import annotations
@@ -138,71 +138,70 @@ class ValueDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_order(mat: np.ndarray) -> np.ndarray:
-    # largest pivot enumerated first = placed at the last recursion level
-    return np.argsort(np.diagonal(mat), kind="stable")
+class EllipsoidBlocks:
+    """Every x in Z^d with Q[x - a] <= cap (+ a tiny pruning pad), as int64
+    blocks of at most util.BOX_CHUNK rows, by depth-first Fincke-Pohst
+    enumeration: a frontier whose next level exceeds a block is split in
+    halves.  `visited` counts each frontier's candidates, charged to the
+    budget before they are made.  The set is a superset of the exact
+    sublevel set; callers apply the final float predicate themselves.
+    """
+
+    def __init__(self, mat: np.ndarray, a: np.ndarray, cap: float, budget: int):
+        # largest pivot enumerated first = placed at the last level
+        self.perm = np.argsort(np.diagonal(mat), kind="stable")
+        try:
+            L = np.linalg.cholesky(mat[np.ix_(self.perm, self.perm)])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("not elliptic") from exc
+        self.R, self.pa = L.T, a[self.perm]   # upper triangular, Q[y] = |R y|^2
+        self.cap_p = cap + PRUNE_PAD_RTOL * max(1.0, abs(cap))
+        self.budget, self.visited = budget, 0
+
+    def __iter__(self):
+        R, pa, cap_p, chunk = self.R, self.pa, self.cap_p, util.BOX_CHUNK
+        # frontiers (i, X, T): X fixes x_{i+1..d}, T is the partial sum of
+        # squares of rows > i; at i = -1 X is a block of points
+        stack = [(len(pa) - 1, np.zeros((1, len(pa)), dtype=np.int64), np.zeros(1))]
+        self.visited = 1
+        while stack:
+            i, X, T = stack.pop()
+            if i < 0:
+                yield X[:, np.argsort(self.perm)]
+                continue
+            c = (X[:, i + 1:].astype(float) - pa[i + 1:]) @ R[i, i + 1:]
+            w = np.sqrt(np.maximum(cap_p - T, 0.0))
+            lo = np.ceil(pa[i] + (-w - c) / R[i, i] - 1e-12).astype(np.int64)
+            hi = np.floor(pa[i] + (w - c) / R[i, i] + 1e-12).astype(np.int64)
+            n = np.maximum(hi - lo + 1, 0)
+            total = int(n.sum())
+            if total > chunk and len(X) > 1:
+                h = len(X) // 2
+                stack += [(i, X[h:], T[h:]), (i, X[:h], T[:h])]
+                continue
+            self.visited += total
+            if self.visited > self.budget:
+                raise BudgetExceededError(
+                    f"enumeration budget {self.budget} exceeded", visited=self.visited)
+            rows, xi = util.expand_ranges(lo, n)
+            children = []
+            # one block, unless a single row's own range exceeds one
+            for k in range(0, total, chunk):
+                r = rows[k:k + chunk]
+                Xn = X[r]
+                Xn[:, i] = xi[k:k + chunk]
+                Tn = T[r] + (R[i, i] * (Xn[:, i] - pa[i]) + c[r]) ** 2
+                keep = Tn <= cap_p
+                children.append((i - 1, Xn[keep], Tn[keep]))
+            stack += children[::-1]
 
 
 def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
                          budget: int) -> tuple[np.ndarray, int]:
-    """All x in Z^d with Q[x-a] <= cap (+ a tiny pruning pad), as an (N, d) array.
-
-    The returned set is a superset of the exact sublevel set; callers apply
-    the final float predicate themselves so that it matches their oracle
-    expression bit for bit.
-    """
-    d = mat.shape[0]
-    if cap < 0:
-        return np.empty((0, d), dtype=np.int64), 0
-    perm = _pivot_order(mat)
-    pm = mat[np.ix_(perm, perm)]
-    pa = a[perm]
-    try:
-        L = np.linalg.cholesky(pm)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("not elliptic") from exc
-    R = L.T  # upper triangular, Q[y] = |R y|^2
-    pad = PRUNE_PAD_RTOL * max(1.0, abs(cap))
-    cap_p = cap + pad
-
-    # frontier: X holds fixed trailing coordinates x_{i+1..d}, T the partial
-    # sum of squares of rows > i
-    X = np.zeros((1, d), dtype=np.int64)
-    T = np.zeros(1)
-    visited = 1
-    for i in range(d - 1, -1, -1):
-        if X.shape[0] == 0:
-            break
-        yfix = X[:, i + 1:].astype(float) - pa[i + 1:]
-        c = yfix @ R[i, i + 1:]
-        w = np.sqrt(np.maximum(cap_p - T, 0.0))
-        lo = np.ceil(pa[i] + (-w - c) / R[i, i] - 1e-12).astype(np.int64)
-        hi = np.floor(pa[i] + (w - c) / R[i, i] + 1e-12).astype(np.int64)
-        n = np.maximum(hi - lo + 1, 0)
-        total = int(n.sum())
-        visited += total
-        if visited > budget:
-            raise BudgetExceededError(
-                f"enumeration budget {budget} exceeded", visited=visited)
-        if total == 0:
-            X = np.empty((0, d), dtype=np.int64)
-            break
-        rows = np.repeat(np.arange(X.shape[0]), n)
-        starts = np.repeat(lo, n)
-        # within-row offsets 0..n_k-1 via cumulative trick
-        csum = np.concatenate(([0], np.cumsum(n)))[:-1]
-        offs = np.arange(total) - np.repeat(csum, n)
-        Xn = X[rows]
-        Xn[:, i] = starts + offs
-        yi = Xn[:, i].astype(float) - pa[i]
-        term = R[i, i] * yi + c[rows]
-        Tn = T[rows] + term * term
-        keep = Tn <= cap_p
-        X, T = Xn[keep], Tn[keep]
-
-    out = np.empty_like(X)
-    out[:, perm] = X
-    return out, visited
+    """The `EllipsoidBlocks` stream as one (N, d) array, with its `visited`."""
+    blocks = EllipsoidBlocks(mat, a, cap, budget)
+    X = np.concatenate([np.empty((0, mat.shape[0]), dtype=np.int64), *blocks])
+    return X, blocks.visited
 
 
 def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -442,11 +441,11 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
     cap, clipped to [-H, H]^d by `weights`, one column of 2H + 1 weights for
     every coordinate (without it every point counts 1).  The DP runs for
     exact diagonal forms with rational shift, on a box only above
-    BOX_DP_POINTS points and not
-    when its work exceeds the budget while the box fits.  Otherwise a box is
-    scanned, keeping values in (floor, cap], and an ellipsoid is enumerated
-    (positive forms only).  `method` "enumeration" skips the DP,
-    "diagonal-dp" demands it.
+    BOX_DP_POINTS points and not when its work exceeds the budget while the
+    box fits.  Otherwise the box blocks or the ellipsoid's enumeration
+    blocks (positive forms only) stream through one loop that keeps the
+    values in (floor, cap] and their masses.  `method` "enumeration" skips
+    the DP, "diagonal-dp" demands it.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
@@ -456,9 +455,6 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
     elif weights is not None:
         half = len(weights) // 2
         m_ranges = [(-half, half)] * d
-    elif cap < 0:       # the empty ellipsoid
-        return ValueDistribution(values=np.empty(0), masses=np.empty(0, np.int64),
-                                 method="enumeration", work=0, radius=0.0)
     else:
         m_ranges = None
     dp = None
@@ -474,26 +470,28 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
         raise ValueError("diagonal-dp requires an exact diagonal form "
                          "and a rational shift")
     if box is not None:
-        kept = []
-        for X in box_blocks(box, d, budget):
-            vals = quad_values(form.matrix, a, X)
-            kept.append(vals[(vals > floor) & (vals <= cap)])
-        values = np.concatenate(kept)
-        return ValueDistribution(values=values, masses=np.ones(len(values), np.int64),
-                                 method="box-scan", work=n_box, radius=float(box))
-    if not form.is_positive:
+        blocks = box_blocks(box, d, budget)
+    elif not form.is_positive:
         raise ValueError("enumeration needs a positive form")
-    X, visited = ellipsoid_candidates(form.matrix, a, cap, budget)
-    if weights is None:
-        masses = np.ones(len(X), np.int64)
     else:
-        X = X[np.all(np.abs(X) <= half, axis=1)]
-        masses = np.ones(len(X))
-        for j in range(d):
-            masses *= weights[X[:, j] + half]
+        blocks = EllipsoidBlocks(form.matrix, a, cap, budget)
+    values, masses = [np.empty(0)], [np.empty(0)]
+    for X in blocks:
+        if weights is not None:          # the measure's support [-H, H]^d
+            X = X[np.all(np.abs(X) <= half, axis=1)]
+        vals = quad_values(form.matrix, a, X)
+        keep = (vals > floor) & (vals <= cap)
+        values.append(vals[keep])
+        if weights is not None:
+            masses.append(np.prod(weights[X[keep] + half], axis=1))
+    values = np.concatenate(values)
+    masses = np.ones(len(values), np.int64) if weights is None else np.concatenate(masses)
+    if box is not None:
+        return ValueDistribution(values=values, masses=masses, method="box-scan",
+                                 work=n_box, radius=float(box))
     radius = math.sqrt(max(cap, 0.0) / form.q0) + float(np.max(np.abs(a), initial=0.0)) + 1.0
-    return ValueDistribution(values=quad_values(form.matrix, a, X), masses=masses,
-                             method="enumeration", work=visited, radius=radius)
+    return ValueDistribution(values=values, masses=masses, method="enumeration",
+                             work=blocks.visited, radius=radius)
 
 
 # ---------------------------------------------------------------------------

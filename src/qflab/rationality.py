@@ -21,7 +21,7 @@ import numpy as np
 
 from .forms import QuadraticForm
 from .trig import phi_symmetrized_batch, symmetrized_transform
-from .util import box_blocks, golden_max
+from .util import box_blocks, expand_ranges, golden_max
 
 LLL_DELTA = 0.99
 
@@ -151,20 +151,12 @@ def successive_minima(form: QuadraticForm, t: float, r: float,
         lo = np.ceil(Z - slack - 1e-12).astype(np.int64)
         hi = np.floor(Z + slack + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
-        ok = counts.prod(axis=1) > 0
-        X, lo, counts = X[ok], lo[ok], counts[ok]
-        if not len(X):
-            continue
-        # expand every valid m-combination per x (usually 1, at most 3^d)
-        reps = counts.prod(axis=1)
-        idx = np.repeat(np.arange(len(X)), reps)
-        offs = np.zeros((len(idx), d), dtype=np.int64)
-        within = np.arange(len(idx)) - np.repeat(
-            np.concatenate(([0], np.cumsum(reps)))[:-1], reps)
-        for j in range(d - 1, -1, -1):
-            offs[:, j] = within % counts[idx, j]
-            within //= counts[idx, j]
-        Y = np.concatenate([X[idx], lo[idx] + offs], axis=1)
+        # every valid m-combination per x (usually 1, at most 3^d), last m fastest
+        idx, M = np.arange(len(X)), np.empty((len(X), 0), dtype=np.int64)
+        for j in range(d):
+            rows, m = expand_ranges(lo[idx, j], counts[idx, j])
+            idx, M = idx[rows], np.column_stack([M[rows], m])
+        Y = np.concatenate([X[idx], M], axis=1)
         Y = Y[np.any(Y != 0, axis=1)]
         norms_chunk = _sup_norms(G, Y)
         keep = norms_chunk < basis.current_max()

@@ -292,7 +292,6 @@ class TrigProfile:
     mode: str                 # "factorized" | "direct" | "monte-carlo"
     a_mode: str               # "sup" | "fixed"
     a_desc: str
-    stderr: Optional[np.ndarray] = None
     form_desc: str = ""
 
 
@@ -624,14 +623,14 @@ def check_basic_inequality(form: QuadraticForm, a, s: float,
     }
 
 
-def check_lemma64(n: int, k: int, z, truncation: int = 8) -> dict:
+def check_lemma64(n: int, k: int, z) -> dict:
     """Dirichlet-kernel bound: g(z) = prod_j (D_n(z_j)/(2n+1))^{2k} against the
-    truncated sum of h(m) = prod_j (1 + r^2 (z_j - 2 pi m_j)^2)^{-k}."""
+    sum of h(m) = prod_j (1 + r^2 (z_j - 2 pi m_j)^2)^{-k} over |m_j| <= 8."""
     z = np.asarray(z, dtype=float)
     d = len(z)
     lhs = float(np.prod(_dirichlet_ratio(z, n) ** (2 * k)))
     r = float(n)
-    ms = np.arange(-truncation, truncation + 1)
+    ms = np.arange(-8, 9)
     rhs = 1.0
     for zj in z:
         terms = (1.0 + r ** 2 * (zj - 2 * math.pi * ms) ** 2) ** (-k)

@@ -1,9 +1,9 @@
-"""Small shared helpers: seeded substreams, lane-wise golden-section search
-and the one lattice-box iterator.
+"""Small shared helpers: seeded substreams, lane-wise golden-section search,
+the one lattice-box iterator and the one range expander.
 
 Every scan of a full box [-H, H]^d goes through `box_blocks`, which yields the
 box in fixed-size blocks: memory is O(BOX_CHUNK * d) however large the box,
-while the budget still counts box points.
+while the budget still counts box points; `lattice.EllipsoidBlocks` too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 GOLDEN = (math.sqrt(5) - 1) / 2
-BOX_CHUNK = 1 << 18   # points per box block
+BOX_CHUNK = 1 << 18   # points per lattice-point block
 
 
 def spawn_rngs(seed: int, workers: int) -> list[np.random.Generator]:
@@ -84,6 +84,12 @@ def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:
     return (np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)),
                                       shape), axis=1) - half
             for start in range(0, total, chunk))
+
+
+def expand_ranges(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [lo_k, lo_k + n_k) end to end: (rows, values), rows[i] = k."""
+    rows = np.repeat(np.arange(len(n)), n)
+    return rows, np.arange(len(rows)) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 def weighted_box_sum(weights: np.ndarray, d: int,

@@ -421,6 +421,25 @@ def test_unknown_csv_column_exits_1(i2_file, capsys):
     assert reason == "unknown column 'nope'"
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["bogus"], "argument kind: invalid choice: 'bogus'"),
+    (["raw-op", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["raw-op", "--budget", "inf"], "argument --budget: invalid"),
+], ids=["unknown-kind", "malformed-seed", "infinite-budget"])
+def test_flag_errors_exit_1(capsys, argv, reason):
+    """Flag errors are validation errors: exit 2 is a budget refusal."""
+    assert _fails(argv, capsys).startswith(reason)
+
+
+def test_budget_flag_reads_like_the_config_file(i2_file, capsys):
+    rc = main(["raw-op", "--budget", "1e9", "-p", "op=theta", "-p", "s=3"])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == 10 ** 9
+    rc = main(["raw-op", "--form", i2_file, "-p", "op=enumerate-values",
+               "-p", "r=100", "-p", "window=0,1", "--budget", "1e2"])
+    assert rc == EXIT_BUDGET
+
+
 def test_config_file_keys_keep_their_case(tmp_path, i2_file, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[experiment]\nkind = gamma-curve\nform = {i2_file}\n\n"

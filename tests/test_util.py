@@ -1,7 +1,9 @@
-"""The lattice-box iterator, the box scans built on it, and the golden search."""
+"""The lattice-point block streams (box and ellipsoid), the scans built on
+them, and the golden search."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ import pytest
 from conftest import brute_points
 from qflab import util
 from qflab.errors import BudgetExceededError
-from qflab.forms import build_form, diagonal_form
+from qflab.forms import build_form, diagonal_form, parse_form_file
 from qflab.gaps import oppenheim_scan
-from qflab.lattice import enumerate_values
+from qflab.lattice import count_ellipsoid, enumerate_values
 from qflab.rationality import count_H, successive_minima
 from qflab.scalars import ExactScalar
+from qflab.smoothing import build_scheme, f_mu
 from qflab.trig import f_sum, phi, phi_symmetrized, symmetrized_transform
 from qflab.util import box_blocks, golden_max
 
 SMALL_CHUNK = 13   # prime, so blocks straddle every row of the box
+ND6_FORM = Path(__file__).resolve().parents[1] / "perfbench" / "forms" / "nd6.form"
 
 ND3 = build_form([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.1]],
                  normalize=False)
@@ -50,6 +54,10 @@ def _spectrum(s):
     return s.values.tolist(), s.multiplicities
 
 
+def _count(r):
+    return r.count, r.visited
+
+
 BOX_SCANS = {
     "enumerate_values": lambda: _spectrum(
         enumerate_values(IND3, [0.1, -0.2, 0.25], 9, (-5.0, 5.0))),
@@ -58,6 +66,10 @@ BOX_SCANS = {
         oppenheim_scan(INT3, [0, 0, 0], (0.5, 1.5), [4]),
         oppenheim_scan(INT3, [0, 0, 0], (-1.5, -0.5), [4])],
     "count_H": lambda: count_H(ND3, 0.7, 2.0),
+    # the ellipsoid enumeration: ~600 points, so 13-row blocks split its
+    # frontiers at every level; f_mu's ellipsoid pokes out of mu's support
+    "count_ellipsoid": lambda: _count(count_ellipsoid(ND3, [0.3, -0.45, 0.1], 40.0)),
+    "f_mu": lambda: f_mu(ND3, [0.1, -0.2, 0.3], 60.0, build_scheme(4, 1, 2)),
     "successive_minima": lambda: successive_minima(
         build_form([[1.4986, -0.9114], [-0.9114, 4.037]], normalize=False),
         1.15, 3.0, mode="exact").minima,
@@ -78,21 +90,26 @@ def test_box_scans_do_not_depend_on_block_size(site, monkeypatch):
         assert blocked == whole
 
 
-@pytest.mark.parametrize("scan", ["enumerate_values", "count_H"])
+@pytest.mark.parametrize("scan", ["enumerate_values", "count_H", "count_ellipsoid"])
 def test_box_scan_memory_is_bounded(scan):
-    """A 1.77M-point box scan stays far below what the whole box would take."""
+    """A 1.77M-point box scan stays far below what the whole box would take.
+    The enumeration of nd6 at s = 400 keeps 1.35M values and masses (22 MB)
+    and one block per level of its search tree."""
     diag = diagonal_form([ExactScalar(1), -ExactScalar.sqrt(2),
                           -ExactScalar.sqrt(3)])
+    nd6 = parse_form_file(ND6_FORM.read_text())
     tracemalloc.start()
     try:
         if scan == "enumerate_values":
             enumerate_values(diag, [0, 0, 0], 60, (-10.0, 10.0))
-        else:
+        elif scan == "count_H":
             count_H(ND3, 0.7, 15.0)
+        else:
+            assert count_ellipsoid(nd6, [0] * 6, 400).count == 1347727
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < (96 if scan == "count_ellipsoid" else 64) * 2 ** 20
 
 
 def _golden_scalar_reference(f, lo, hi, iters=60):
