@@ -210,7 +210,9 @@ def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], util.BOX_CHUNK):
         Y = np.asarray(X[start:start + util.BOX_CHUNK], dtype=float) - a
-        out[start:start + len(Y)] = np.einsum("ij,jk,ik->i", Y, mat, Y)
+        # einsum sums blocks of 1 or 2 rows in another order (d = 2): pad to 3
+        P = Y if len(Y) > 2 else np.concatenate([Y, np.zeros((3 - len(Y), Y.shape[1]))])
+        out[start:start + len(Y)] = np.einsum("ij,jk,ik->i", P, mat, P)[:len(Y)]
     return out
 
 

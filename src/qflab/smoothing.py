@@ -23,7 +23,9 @@ b(z) = 1 / (1 + sum_{even o >= 2} m_o z^o / o!), and D_j / D is the z^j
 coefficient of a truncated product of per-coordinate factor polynomials.
 F-values against mu are exact weighted lattice sums, queries on one
 `lattice.value_distribution` with mu's weight column; F-values against nu
-and nu_j are importance-sampled Monte Carlo with D as the proposal.
+and nu_j are importance-sampled Monte Carlo with D as the proposal, and one
+nu-draw at `seed` gives an expansion's F0, F_j and residual at every s (the
+residual's stderr is that of the column I{Q <= s} (1 + sum_j D_j / D)).
 """
 
 from __future__ import annotations
@@ -60,21 +62,6 @@ def _check_deriv(deriv: int, n: int) -> None:
         raise ValueError(f"derivative order {deriv} must be >= 0")
     if deriv > n - 2:
         raise ValueError(f"derivative order {deriv} needs n >= {deriv + 2}")
-
-
-def irwin_hall(x: np.ndarray, n: int, deriv: int = 0) -> np.ndarray:
-    """deriv-th derivative of the density of a sum of n uniforms on (-1/2, 1/2).
-
-    Valid for 0 <= deriv <= n - 2 (where the density is still continuous).
-    """
-    _check_deriv(deriv, n)
-    y = np.asarray(x, dtype=float) + n / 2.0
-    p = n - 1 - deriv
-    out = np.zeros_like(y)
-    for i, c in enumerate(_ih_coeffs(n)):
-        t = np.maximum(y - i, 0.0)
-        out += c * t ** p
-    return out / math.factorial(p)
 
 
 @lru_cache(maxsize=None)
@@ -329,30 +316,39 @@ def f_mu_curve(form: QuadraticForm, a, s_list: Sequence[float],
     return _f_mu_grid(form, a, s_list, scheme, budget, exact=False)
 
 
-def _nu_sampler(form: QuadraticForm, a: np.ndarray, s: float,
-                scheme: SmoothingScheme, weight_fn):
-    """Sampler for `mc_mean`: I{Q[X - a] <= s} weight_fn(X) with X ~ nu."""
-    d = form.dim
-    mat = form.matrix
+def _f_nu_grid(form: QuadraticForm, a, s_list: Sequence[float],
+               scheme: SmoothingScheme, js, samples, seed, workers) -> list:
+    """Per s: [F0(s), F_j(s) for j in js, F0(s) + sum_j F_j(s)] from one nu-draw:
+    each substream takes X ~ nu, Q[X - a] and, where Q <= max(s_list), each D_j / D
+    once, then yields the column I{Q <= s} w for w = 1, each D_j / D and their sum."""
+    corrs = [CorrectionDensity(scheme, j) for j in js]  # checks each j against k
+    a = shift_array(form, a)
 
     def sampler(rng, n):
-        X = scheme.sample(rng, n, d)
-        ind = quad_values(mat, a, X) <= s
-        vals = np.zeros(n)
-        if np.any(ind):
-            vals[ind] = weight_fn(X[ind])
-        return vals
+        X = scheme.sample(rng, n, form.dim)
+        Q = quad_values(form.matrix, a, X)
+        inside = Q <= max(s_list)
+        X, Q_in = X[inside], Q[inside]
+        ones = np.ones(len(X))
+        ratios = [corr.ratio(X) for corr in corrs]
+        del X
+        weights = [ones, *ratios, sum(ratios, ones)]
+        for s in s_list:
+            ind, sub = Q <= s, Q_in <= s
+            for w in weights:
+                col = np.zeros(n)
+                col[ind] = w[sub]
+                yield col
 
-    return sampler
+    ests, width = mc_mean(sampler, samples, seed, workers), len(js) + 2
+    return [ests[i:i + width] for i in range(0, len(ests), width)]
 
 
 def f_nu(form: QuadraticForm, a, s: float, scheme: SmoothingScheme,
          samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
          workers: int = 1) -> McEstimate:
     """F0(s) = nu{x : Q[x - a] <= s}, Monte Carlo with nu itself as sampler."""
-    a = shift_array(form, a)
-    return mc_mean(_nu_sampler(form, a, s, scheme, lambda X: np.ones(X.shape[0])),
-                   samples, seed, workers)
+    return _f_nu_grid(form, a, [s], scheme, [], samples, seed, workers)[0][0]
 
 
 def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
@@ -360,10 +356,7 @@ def f_j(form: QuadraticForm, a, s: float, scheme: SmoothingScheme, j: int,
         workers: int = 1) -> McEstimate:
     """F_j(s) = integral of the indicator against the signed density D_j,
     importance-sampled from nu: E_nu[ I{Q[X-a] <= s} (D_j/D)(X) ]."""
-    corr = CorrectionDensity(scheme, j)  # checks j against k
-    a = shift_array(form, a)
-    return mc_mean(_nu_sampler(form, a, s, scheme, corr.ratio),
-                   samples, seed, workers)
+    return _f_nu_grid(form, a, [s], scheme, [j], samples, seed, workers)[0][1]
 
 
 def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
@@ -389,17 +382,11 @@ def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
     envelope = error_envelopes("thm21", d=d, q=q, r=r, T=T, R=scheme.R, p=p,
                                a_norm=float(np.linalg.norm(a)), eps=eps, gamma=gam)
     js = [j for j in range(2, p, 2)]
-    rows = []
     F_col = f_mu_curve(form, a, s_grid, scheme, budget=budget)
-    for i, (s, F) in enumerate(zip(s_grid, F_col)):
-        F0 = f_nu(form, a, s, scheme, samples=samples, seed=seed + 1000 + i,
-                  workers=workers)
-        fjs = [f_j(form, a, s, scheme, j, samples=samples,
-                   seed=seed + 2000 + 100 * j + i, workers=workers) for j in js]
-        resid = F - F0.mean - sum(e.mean for e in fjs)
-        stderr = math.sqrt(F0.stderr ** 2 + sum(e.stderr ** 2 for e in fjs))
-        rows.append({"s": s, "F": F, "F0": F0, "F_j": fjs,
-                     "residual": resid, "residual_stderr": stderr})
+    nu_rows = _f_nu_grid(form, a, s_grid, scheme, js, samples, seed, workers)
+    rows = [{"s": s, "F": F, "F0": F0, "F_j": fjs,
+             "residual": F - total.mean, "residual_stderr": total.stderr}
+            for s, F, (F0, *fjs, total) in zip(s_grid, F_col, nu_rows)]
     max_resid = max(abs(row["residual"]) for row in rows)
     return {"rows": rows, "envelope": envelope, "gamma": gam,
             "fitted_constant": max_resid / envelope if envelope > 0 else math.inf}

@@ -124,28 +124,34 @@ def delta_curve(form: QuadraticForm, a, s_list: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate:
+def mc_mean(sampler, n_samples: int, seed: int, workers: int) -> McEstimate | list[McEstimate]:
     """Mean/stderr of a sampler(rng, n) -> 1d array (real or complex), split
     over worker substreams whose (count, mean, M2 = sum |x - mean|^2) merge by
-    Chan, Golub and LeVeque (1979): no E[x^2] - mean^2 cancellation."""
+    Chan, Golub and LeVeque (1979): no E[x^2] - mean^2 cancellation.  A sampler
+    may instead return an iterator of 1d columns of one sample, each reduced
+    before the next is built; then a list of one McEstimate per column returns."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    def chunk(rng, n):
-        vals = sampler(rng, n)
+    def moments(vals):
+        if not isinstance(vals, np.ndarray):    # an iterator of columns
+            return [*map(moments, vals)]
         mean = np.sum(vals) / len(vals)
         dev = vals - mean
         return len(vals), mean, np.vdot(dev, dev).real
 
     def merge(x, y):
+        if isinstance(x, list):
+            return [merge(u, v) for u, v in zip(x, y, strict=True)]
         (na, ma, m2a), (nb, mb, m2b) = x, y
         n, delta = na + nb, mb - ma
         return n, ma + delta * (nb / n), m2a + m2b + abs(delta) ** 2 * (na * nb / n)
 
-    n, mean, m2 = functools.reduce(merge, map(chunk, spawn_rngs(seed, workers),
-                                              worker_chunks(n_samples, workers)))
-    return McEstimate(mean=mean.item(), stderr=math.sqrt(m2 / n / n),
-                      samples=n, seed=seed)
+    acc = functools.reduce(merge, (moments(sampler(rng, n)) for rng, n in zip(
+        spawn_rngs(seed, workers), worker_chunks(n_samples, workers))))
+    ests = [McEstimate(mean=mean.item(), stderr=math.sqrt(m2 / n / n), samples=n, seed=seed)
+            for n, mean, m2 in (acc if isinstance(acc, list) else [acc])]
+    return ests if isinstance(acc, list) else ests[0]
 
 
 def _box_volume_mc(half: float, d: int, indicator, samples: int, seed: int,

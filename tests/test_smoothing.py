@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qflab.forms import build_form, diagonal_form
-from qflab.lattice import count_ellipsoid
+from qflab.lattice import count_ellipsoid, quad_values
 from qflab.scalars import ExactScalar
-from qflab.smoothing import (CorrectionDensity, build_scheme, density,
-                             f_j, f_mu, f_mu_curve, f_nu,
-                             fourier_inversion_check, irwin_hall,
+from qflab.smoothing import (CorrectionDensity, SmoothingScheme, build_scheme,
+                             density, expansion_residual, f_j, f_mu,
+                             f_mu_curve, f_nu, fourier_inversion_check,
                              moments_pi)
-from qflab.volume import ellipsoid_volume
+from qflab.util import worker_chunks
+from qflab.volume import ellipsoid_volume, mc_mean
 
 
 def test_build_scheme_examples():
@@ -31,6 +33,14 @@ def test_moments_examples():
     assert moments_pi(5, (2,)) == Fraction(6, 12)
     # cross-coordinate moments factor
     assert moments_pi(1, (2, 4)) == moments_pi(1, (2,)) * moments_pi(1, (4,))
+
+
+def irwin_hall(x: np.ndarray, n: int) -> np.ndarray:
+    """Density of a sum of n uniforms on (-1/2, 1/2), from the truncated-power
+    formula: an oracle apart from the spline table behind `d1`."""
+    y = np.asarray(x, dtype=float) + n / 2.0
+    return sum((-1) ** i * math.comb(n, i) * np.maximum(y - i, 0.0) ** (n - 1)
+               for i in range(n + 1)) / math.factorial(n - 1)
 
 
 def test_irwin_hall_density():
@@ -313,6 +323,79 @@ def test_fhat_conjugate_symmetry(identity2):
     plus = fhat_mu(identity2, [0.3, 0.4], ts, sch)
     minus = fhat_mu(identity2, [0.3, 0.4], -ts, sch)
     assert np.allclose(minus, np.conj(plus), atol=1e-13)
+
+
+# (workers, s, f_nu and f_j (j = 2) as (mean, stderr)) on surd9 with
+# build_scheme(12, 3, 8), a = 0.1 * 1, 100001 samples and seed 11, compared
+# with ==: the draw, the rows it keeps and the sums over them are pinned
+NU_PINS = [
+    (1, 300.0, (0.0018199818001819982, 0.00013478320740789717),
+     (3.9527028381255424e-05, 2.9293953393575415e-06)),
+    (1, 700.0, (0.045159548404515956, 0.0006566561687450454),
+     (0.000993298344270562, 1.4608172869159124e-05)),
+    (3, 300.0, (0.0015899841001589985, 0.00012599365763079032),
+     (3.458804070478329e-05, 2.7429061595382763e-06)),
+    (3, 700.0, (0.045009549904500956, 0.0006556162024331796),
+     (0.0009925893759872133, 1.4605696113467638e-05)),
+]
+
+
+@pytest.mark.parametrize("workers,s,f0,f2", NU_PINS,
+                         ids=[f"w{w}-s{s:g}" for w, s, *_ in NU_PINS])
+def test_f_nu_and_f_j_are_pinned(surd9, workers, s, f0, f2):
+    sch = build_scheme(12, 3, 8)
+    a = [0.1] * 9
+    e0 = f_nu(surd9, a, s, sch, samples=100001, seed=11, workers=workers)
+    e2 = f_j(surd9, a, s, sch, 2, samples=100001, seed=11, workers=workers)
+    assert (e0.mean, e0.stderr) == f0
+    assert (e2.mean, e2.stderr) == f2
+
+
+def test_expansion_residual_shares_one_nu_draw(surd9, monkeypatch):
+    """F0 and F_2 are f_nu and f_j at the expansion's seed, from one draw per
+    substream, and the residual's stderr is that of the column 1 + D_2/D."""
+    scheme = build_scheme(4, 1, 8)
+    a = [0.25] + [0.0] * 8
+    s_grid, n, seed, workers = [150.0, 100.0], 20001, 3, 3
+    draws = []
+    sample = SmoothingScheme.sample
+    monkeypatch.setattr(SmoothingScheme, "sample", lambda self, rng, m, d:
+                        draws.append(m) or sample(self, rng, m, d))
+    rep = expansion_residual(surd9, a, s_grid, scheme, 3, samples=n, seed=seed,
+                             workers=workers, T=1.0)
+    assert draws == worker_chunks(n, workers)
+    corr = CorrectionDensity(scheme, 2)
+    for s, row in zip(s_grid, rep["rows"]):
+        assert row["F0"] == f_nu(surd9, a, s, scheme, n, seed, workers)
+        assert row["F_j"] == [f_j(surd9, a, s, scheme, 2, n, seed, workers)]
+
+        def total(rng, m):
+            X = scheme.sample(rng, m, 9)
+            ind = quad_values(surd9.matrix, np.array(a), X) <= s
+            col = np.zeros(m)
+            col[ind] = 1 + corr.ratio(X[ind])
+            return col
+
+        est = mc_mean(total, n, seed, workers)
+        assert row["residual_stderr"] == est.stderr
+        assert row["residual"] == pytest.approx(float(row["F"]) - est.mean,
+                                                rel=1e-12, abs=1e-15)
+
+
+def test_expansion_residual_memory_does_not_grow_with_the_s_grid(surd9):
+    """Columns are reduced one at a time: 12 s-points trace no higher peak than
+    one, where a (samples, |s| * terms) matrix would double it."""
+    scheme = build_scheme(4, 1, 8)
+    peaks = []
+    for s_grid in ([150.0], np.linspace(40.0, 150.0, 12).tolist()):
+        tracemalloc.start()
+        try:
+            expansion_residual(surd9, [0.0] * 9, s_grid, scheme, 3,
+                               samples=100000, seed=0, T=1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_expansion_residual_p2_reduces_to_f_minus_f0(surd9):

@@ -29,6 +29,7 @@ IND3 = build_form([[1.0, 0.4, 0.0], [0.4, -math.sqrt(2), 0.3],
                    [0.0, 0.3, -math.sqrt(3)]], normalize=False)
 # integer values, so |Q| ties and the Oppenheim witness is a tie-break
 INT3 = build_form([[1, 0, 0], [0, -1, 0], [0, 0, 2]], normalize=False)
+ND2 = build_form([[1.4986, -0.9114], [-0.9114, 4.037]], normalize=False)
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -61,6 +62,9 @@ def _count(r):
 BOX_SCANS = {
     "enumerate_values": lambda: _spectrum(
         enumerate_values(IND3, [0.1, -0.2, 0.25], 9, (-5.0, 5.0))),
+    # d = 2, where einsum would round blocks of one or two rows another way
+    "enumerate_values_2d": lambda: _spectrum(
+        enumerate_values(ND2, [0.1, -0.2], 12, (-1.0, 2000.0))),
     "oppenheim_scan": lambda: [
         oppenheim_scan(IND3, [0, 0, 0], (-0.05, 0.05), [3, 8]),
         oppenheim_scan(INT3, [0, 0, 0], (0.5, 1.5), [4]),
@@ -70,24 +74,32 @@ BOX_SCANS = {
     # frontiers at every level; f_mu's ellipsoid pokes out of mu's support
     "count_ellipsoid": lambda: _count(count_ellipsoid(ND3, [0.3, -0.45, 0.1], 40.0)),
     "f_mu": lambda: f_mu(ND3, [0.1, -0.2, 0.3], 60.0, build_scheme(4, 1, 2)),
-    "successive_minima": lambda: successive_minima(
-        build_form([[1.4986, -0.9114], [-0.9114, 4.037]], normalize=False),
-        1.15, 3.0, mode="exact").minima,
+    "successive_minima": lambda: successive_minima(ND2, 1.15, 3.0,
+                                                   mode="exact").minima,
     "phi": lambda: phi(ND3, [0.1, -0.2, 0.3], 0.3, 16, mode="direct"),
     "f_sum": lambda: f_sum(ND3, [0.1, -0.2, 0.3], 0.3, 4, 1, mode="direct"),
     "phi_symmetrized": lambda: phi_symmetrized(ND3, 0.3, 6),
 }
 
 
-@pytest.mark.parametrize("site", sorted(BOX_SCANS))
-def test_box_scans_do_not_depend_on_block_size(site, monkeypatch):
+def _check_block_free(site, chunk, monkeypatch):
     whole = BOX_SCANS[site]()
-    monkeypatch.setattr(util, "BOX_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(util, "BOX_CHUNK", chunk)
     blocked = BOX_SCANS[site]()
     if isinstance(whole, float):
         assert blocked == pytest.approx(whole, rel=1e-12)
     else:
         assert blocked == whole
+
+
+@pytest.mark.parametrize("site", sorted(BOX_SCANS))
+def test_box_scans_do_not_depend_on_block_size(site, monkeypatch):
+    _check_block_free(site, SMALL_CHUNK, monkeypatch)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_two_dim_values_do_not_depend_on_tiny_blocks(chunk, monkeypatch):
+    _check_block_free("enumerate_values_2d", chunk, monkeypatch)
 
 
 @pytest.mark.parametrize("scan", ["enumerate_values", "count_H", "count_ellipsoid"])

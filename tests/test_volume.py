@@ -195,6 +195,28 @@ def test_mc_mean_merge_matches_two_pass(sampler):
     assert mc_mean(sampler, n, seed, 1).mean == np.sum(vals) / n
 
 
+COLUMN_MAPS = (lambda u: u, lambda u: 1e9 + u, lambda u: np.exp(1j * u),
+               lambda u: (u < 0.01) * 1.0)
+
+
+def test_mc_mean_columns_match_one_call_per_column():
+    """Columns of one sample, returned as an iterator, get the estimates that
+    one single-column call per column gets on the same substreams."""
+    n, seed, workers = 30001, 4, 3
+
+    def columns(rng, m):
+        u = rng.uniform(0, 1, m)
+        return (f(u) for f in COLUMN_MAPS)
+
+    ests = mc_mean(columns, n, seed, workers)
+    assert len(ests) == len(COLUMN_MAPS)
+    for f, est in zip(COLUMN_MAPS, ests):
+        ref = mc_mean(lambda rng, m: f(rng.uniform(0, 1, m)), n, seed, workers)
+        assert est.samples == ref.samples == n and est.seed == seed
+        assert abs(est.mean - ref.mean) <= 1e-15 * abs(ref.mean)
+        assert abs(est.stderr - ref.stderr) <= 1e-15 * ref.stderr
+
+
 def test_mc_mean_rejects_empty_sample():
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         mc_mean(_normal, 0, 0, 1)
