@@ -148,8 +148,8 @@ def cluster_structure(profile: TrigProfile, s: float, kappa: float,
                     start = prev = t
                     count = 1
             clusters.append((float(start), float(prev), count))
-            # pairwise dichotomy check with a two-pointer sweep
-            jlo = 0
+            # pairwise dichotomy check: from each point, scan forward past
+            # the gaps <= delta and stop at the first gap >= rho
             for i, t in enumerate(pts):
                 for jj in range(i + 1, len(pts)):
                     gap = pts[jj] - t

@@ -94,15 +94,14 @@ class ExperimentReport:
 
 
 def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
+    """numpy scalars and arrays as JSON values; anything else is a TypeError."""
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt17(v) -> str:

@@ -130,9 +130,10 @@ def build_form(entries, normalize: bool = True) -> QuadraticForm:
     (exact mode) or float (float mode; any float cell makes the whole form
     float).  With `normalize`, all entries are divided by q0 so that the
     minimal absolute eigenvalue becomes 1.  Exactness is preserved when the
-    division can be done in the scalar field (diagonal exact forms); otherwise
-    entries fall back to floats while the rationality verdict, which is
-    invariant under real scaling, is kept from the unscaled entries.
+    division can be done in the scalar field (diagonal exact forms), and the
+    rationality verdict then describes the normalized entries; otherwise
+    entries fall back to floats and the verdict, whose kind is invariant
+    under real scaling, has the multiplier of the entries as given.
     """
     rows = [list(r) for r in entries]
     d = len(rows)
@@ -182,6 +183,7 @@ def build_form(entries, normalize: bool = True) -> QuadraticForm:
                 exact = [c / q0_exact for c in exact]
                 mat = np.array([[float(exact[i * d + j]) for j in range(d)]
                                 for i in range(d)])
+                verdict = _classify_entries(exact, d)
             else:
                 exact = None
                 mat = mat / q0
@@ -244,11 +246,11 @@ def classify_rationality(form: QuadraticForm) -> RationalityVerdict:
 
     Exact entries: decidable, rational iff all pairwise entry ratios are
     rational; returns the minimal positive multiplier M, or a witness pair of
-    entries with irrational ratio.  Float entries: unknown.
+    entries with irrational ratio.  Float entries: unknown.  This is the
+    verdict `build_form` stored (see there for forms that lost exactness
+    to normalization).
     """
-    if form.exact_entries is None:
-        return form.rationality  # verdict kept from construction, or unknown
-    return _classify_entries(list(form.exact_entries), form.dim)
+    return form.rationality
 
 
 def parse_form_file(text: str) -> QuadraticForm:

@@ -205,14 +205,16 @@ def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
 
 
 def quad_values(mat: np.ndarray, a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Q[x - a] per row x of X, shifting util.BOX_CHUNK rows at a time."""
+    """Q[x - a] per row x of X, in blocks of at most util.BOX_CHUNK entries
+    whose rows go through `util.row_products`."""
     X = np.asarray(X)
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], util.BOX_CHUNK):
-        Y = np.asarray(X[start:start + util.BOX_CHUNK], dtype=float) - a
-        # einsum sums blocks of 1 or 2 rows in another order (d = 2): pad to 3
-        P = Y if len(Y) > 2 else np.concatenate([Y, np.zeros((3 - len(Y), Y.shape[1]))])
-        out[start:start + len(Y)] = np.einsum("ij,jk,ik->i", P, mat, P)[:len(Y)]
+    step = max(1, util.BOX_CHUNK // X.shape[1])
+    for start in range(0, X.shape[0], step):
+        Y = np.subtract(X[start:start + step], a, dtype=float)
+        Z = util.row_products(Y, mat)
+        Z *= Y
+        out[start:start + len(Y)] = Z.sum(axis=1)
     return out
 
 
@@ -307,15 +309,15 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
                       m_ranges: Sequence[tuple[int, int]],
                       cap: Optional[float] = None,
                       weights: Optional[np.ndarray] = None,
-                      budget: int = 10 ** 9,
-                      dtype=None) -> DiagonalDP:
+                      budget: int = 10 ** 9) -> DiagonalDP:
     """Convolve per-coordinate value distributions of sum_j q_j (m_j - a_j)^2.
 
     `cap` enables pruning and is only valid when every per-coordinate scaled
     contribution is componentwise nonnegative (the common positive-diagonal
     case); it is ignored otherwise.  The optional weight column weights the
     i-th point lo + i of every coordinate's range (lo, hi), all of one length
-    (floats, ints or Fractions); without it the table holds exact counts.
+    (floats, ints or Fractions); without it the table holds exact counts,
+    as Python ints once the box has _INT64_SAFE points or more.
     """
     basis = tuple(sorted(set().union(*(q.terms for q in diag)) or {1}))
     if len(basis) > 3:
@@ -353,10 +355,10 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
         raise BudgetExceededError(
             f"diagonal DP work {work} exceeds budget {budget}", required=work)
 
-    if dtype is None and weights is None:
+    if weights is None:
         n_points = math.prod(hi - lo + 1 for lo, hi in m_ranges)
         dtype = np.int64 if n_points < _INT64_SAFE else object
-    elif dtype is None:
+    else:
         dtype = object if np.asarray(weights).dtype == object else np.float64
     w = None if weights is None else np.asarray(weights, dtype=dtype)
 

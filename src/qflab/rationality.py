@@ -21,7 +21,7 @@ import numpy as np
 
 from .forms import QuadraticForm
 from .trig import phi_symmetrized_batch, symmetrized_transform
-from .util import box_blocks, expand_ranges, golden_max
+from .util import box_blocks, expand_ranges, golden_max, row_products
 
 LLL_DELTA = 0.99
 
@@ -85,16 +85,8 @@ def _norm_map(form: QuadraticForm, t: float, r: float) -> tuple[np.ndarray, floa
     return G, P
 
 
-def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat.T, each row rounded the same however many rows come along:
-    numpy hands a single row to BLAS gemv, which rounds unlike gemm."""
-    if len(rows) == 1:
-        return (np.repeat(rows, 2, axis=0) @ mat.T)[:1]
-    return rows @ mat.T
-
-
 def _sup_norms(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(_row_products(Y, G)), axis=1)
+    return np.max(np.abs(row_products(Y, G)), axis=1)
 
 
 def successive_minima(form: QuadraticForm, t: float, r: float,
@@ -147,7 +139,7 @@ def successive_minima(form: QuadraticForm, t: float, r: float,
     slack = bound / P + 1e-12
     # the minima are a unique multiset, so the block order does not matter
     for X in box_blocks(x_half, d, budget):
-        Z = t * _row_products(X, form.matrix)
+        Z = t * row_products(X, form.matrix)
         lo = np.ceil(Z - slack - 1e-12).astype(np.int64)
         hi = np.floor(Z + slack + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
@@ -215,7 +207,7 @@ def count_H(form: QuadraticForm, t: float, r: float,
         raise ValueError("r must be > 0")
     count = 0
     for X in box_blocks(int(4 * r), form.dim, budget):
-        Z = t * _row_products(X, form.matrix)
+        Z = t * row_products(X, form.matrix)
         dist = np.abs(Z - np.round(Z))
         count += int(np.count_nonzero(np.all(dist < 1.0 / (4.0 * r), axis=1)))
     return count
@@ -252,19 +244,16 @@ class ProbeResult:
 
 def sup_phi_symmetrized(form: QuadraticForm, delta0: float, delta: float,
                         r: float, k: int = 1, t_nodes: int = 512) -> float:
-    """sup of phi_sym(t; r) over [delta0, delta]: a dense float64 grid, then
-    one long-double golden search whose lanes are the top four candidates."""
+    """sup of phi_sym(t; r) over [delta0, delta]: a dense grid, then one
+    golden search whose lanes are the top four candidates."""
     # peaks of phi_sym have width ~ 1/r^2; scale the grid so none is skipped
     nodes = max(t_nodes, min(2 ** 20, int((delta - delta0) * r * r * 3) + 2))
     ts = np.linspace(delta0, delta, nodes)
     vals = phi_symmetrized_batch(form, ts, r, k)   # checks form, r and k
-
-    def peak(t):
-        return symmetrized_transform(np.diagonal(form.matrix), t, int(r), k,
-                                     np.longdouble).astype(float)
-
+    qdiag = np.diagonal(form.matrix)
     top = np.argsort(vals)[::-1][:4]
-    _, v = golden_max(peak, ts[np.maximum(top - 1, 0)],
+    _, v = golden_max(lambda t: symmetrized_transform(qdiag, t, int(r), k),
+                      ts[np.maximum(top - 1, 0)],
                       ts[np.minimum(top + 1, len(ts) - 1)], iters=60)
     return max(float(np.max(vals)), float(np.max(v)))
 

@@ -22,10 +22,10 @@ identities carry all the heavy evaluations here, in three engines:
   running recurrence.  Refinement runs the top t-candidates as the lanes of
   one golden search, and each of its objective calls runs every
   (coordinate, t) shift search as the lanes of another.
-* `symmetrized_transform` serves every diagonal phi_sym: the float64 grid
-  and the long-double values of phi_symmetrized and of the peak lanes in
-  rationality.sup_phi_symmetrized.  The Dirichlet-kernel ratio is even in u
-  and the weights are symmetric, so the +-u terms fold into u >= 0.
+* `symmetrized_transform` serves every diagonal phi_sym: phi_symmetrized,
+  its batch and the grid and peak lanes of rationality.sup_phi_symmetrized.
+  The Dirichlet-kernel ratio is even in u and the weights are symmetric, so
+  the +-u terms fold into u >= 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .forms import QuadraticForm, shift_array
 from .lattice import quad_values
-from .util import golden_max, weighted_box_sum
+from .util import golden_max, row_products, weighted_box_sum
 from .volume import mc_mean
 
 DEFAULT_T_NODES = 2 ** 16
@@ -69,12 +69,12 @@ class WeightTable:
     def denominator(self) -> int:
         return math.prod(2 * h + 1 for h in self.halves)
 
-    def folded(self, dtype=float) -> np.ndarray:
+    def folded(self) -> np.ndarray:
         """c_0 = w_0, c_m = 2 w_m for m = 0..half_support, rounded once from
         the exact numerators: the even weights folded over +-m."""
-        c = self.numerators[self.half_support:].astype(dtype)
+        c = self.numerators[self.half_support:].astype(float)
         c[1:] *= 2
-        return c / dtype(self.denominator)
+        return c / float(self.denominator)
 
 
 def convolve_weights(halves) -> WeightTable:
@@ -197,19 +197,17 @@ def f_sum(form: QuadraticForm, a, t: float, r: float, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_ratio(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
+def _dirichlet_ratio(z: np.ndarray, n: int) -> np.ndarray:
     """D_n(z) / (2n+1) with the removable singularities at z = 2 pi k filled.
 
     z / 2 is reduced mod pi, the ratio's period, so near a resonance both
     sines see a small argument (rounding (2n+1) z / 2 at full size made
     phi_sym dip by 2.5e-11 at 3e-10 from t = pi).  Clipped to [-1, 1], exact
     for the true ratio; near-singular arguments otherwise amplify sine
-    roundoff above 1.  Extended precision (dtype=np.longdouble) lowers the
-    argument-rounding noise floor near resonances, as peak refinements need.
+    roundoff above 1.
     """
-    half = np.asarray(z, dtype=dtype) / dtype(2)
-    pi = np.arccos(dtype(-1))
-    half -= np.round(half / pi) * pi
+    half = np.asarray(z, dtype=float) / 2
+    half -= np.round(half / math.pi) * math.pi
     s = np.sin(half)
     small = np.abs(s) < 1e-9
     out = np.sin((2 * n + 1) * half) / np.where(small, 1, s) / (2 * n + 1)
@@ -218,25 +216,25 @@ def _dirichlet_ratio(z: np.ndarray, n: int, dtype=float) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def symmetrized_transform(qdiag: np.ndarray, ts: np.ndarray, n: int, k: int,
-                          dtype=float) -> np.ndarray:
+def symmetrized_transform(qdiag: np.ndarray, ts: np.ndarray, n: int,
+                          k: int) -> np.ndarray:
     """prod_j sum_u w_u (D_n(2 q_j t u) / (2n+1))^{2k} on an array of t values,
-    w = convolve_weights((n, n)), in `dtype` (np.longdouble for peak values).
+    w = convolve_weights((n, n)).
 
     Folded over +-u (`WeightTable.folded`) and summed from u = 2n down, so the
     smallest weights come first.  Each distinct q_j is summed once and raised
     to its multiplicity; t runs in chunks of SYM_CHUNK.
     """
-    c = convolve_weights((n, n)).folded(dtype)[::-1]
-    u = np.arange(len(c) - 1, -1, -1, dtype=dtype)
+    c = convolve_weights((n, n)).folded()[::-1]
+    u = np.arange(len(c) - 1, -1, -1, dtype=float)
     q, mult = np.unique(qdiag, return_counts=True)
-    ts = np.asarray(ts, dtype=dtype)
-    out = np.ones(len(ts), dtype=dtype)
+    ts = np.asarray(ts, dtype=float)
+    out = np.ones(len(ts))
     chunk = max(1, SYM_CHUNK // len(u))
     for start in range(0, len(ts), chunk):
         tt = ts[start:start + chunk]
         for qj, m in zip(q, mult):
-            g = _dirichlet_ratio(np.outer(2 * qj * tt, u), n, dtype) ** (2 * k)
+            g = _dirichlet_ratio(np.outer(2 * qj * tt, u), n) ** (2 * k)
             out[start:start + chunk] *= (g @ c) ** m
     return out
 
@@ -251,7 +249,7 @@ def _sym_order(r: float, k: int) -> int:
 
 def phi_symmetrized_batch(form: QuadraticForm, ts: np.ndarray, r: float,
                           k: int = 1) -> np.ndarray:
-    """phi_sym on an array of t values (diagonal forms), in float64."""
+    """phi_sym on an array of t values (diagonal forms)."""
     return symmetrized_transform(_diag_entries(form), ts, _sym_order(r, k), k)
 
 
@@ -260,16 +258,15 @@ def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
     """The symmetrized bilinear sum phi(t; r) over e{2t <Qx, y>}.
 
     The inner y-sum is a product of squared Dirichlet-kernel powers for any
-    form; for diagonal forms the outer x-sum also splits per coordinate (long
-    double).  Real, in [0, 1] and 1 at t = 0.  Needs r >= 1 and k >= 1.
+    form; for diagonal forms the outer x-sum also splits per coordinate.
+    Real, in [0, 1] and 1 at t = 0.  Needs r >= 1 and k >= 1.
     """
     n = _sym_order(r, k)
     if form.is_diagonal:
-        return float(symmetrized_transform(_diag_entries(form), [t], n, k,
-                                           np.longdouble)[0])
+        return float(symmetrized_transform(_diag_entries(form), [t], n, k)[0])
 
     def term(X):
-        Z = X.astype(np.longdouble) @ form.matrix.T
+        Z = row_products(X, form.matrix)
         g = np.ones(X.shape[0])
         for j in range(form.dim):
             g *= _dirichlet_ratio(2.0 * t * Z[:, j], n) ** (2 * k)

@@ -1,5 +1,6 @@
 """Small shared helpers: seeded substreams, lane-wise golden-section search,
-the one lattice-box iterator and the one range expander.
+the one lattice-box iterator, the one row-product kernel and the one range
+expander.
 
 Every scan of a full box [-H, H]^d goes through `box_blocks`, which yields the
 box in fixed-size blocks: memory is O(BOX_CHUNK * d) however large the box,
@@ -84,6 +85,14 @@ def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:
     return (np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)),
                                       shape), axis=1) - half
             for start in range(0, total, chunk))
+
+
+def row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat.T, each row rounded the same however many rows come along:
+    numpy hands a single row to BLAS gemv, which rounds unlike gemm."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ mat.T)[:1]
+    return rows @ mat.T
 
 
 def expand_ranges(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qflab
@@ -107,6 +108,18 @@ def test_json_payload_reproducible(i2_file):
     r2 = run(cfg2)
     assert r1.payload() == r2.payload()
     assert r1.config["version"]
+
+
+def test_json_refuses_values_it_cannot_write():
+    """numpy values become JSON numbers and lists; any other value raises
+    instead of landing in the payload as its repr."""
+    report = cli.ExperimentReport(config={}, rows=[{"n": np.int64(3),
+                                                    "v": np.arange(2.0)}],
+                                  fitted={}, verdicts={}, wall_time=0.0)
+    assert json.loads(report.to_json())["rows"] == [{"n": 3, "v": [0.0, 1.0]}]
+    report.rows.append({"x": object()})
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        report.to_json()
 
 
 def test_rerun_from_embedded_config(i2_file):

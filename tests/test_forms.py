@@ -52,6 +52,24 @@ def test_rationality_examples():
     assert classify_rationality(h).kind == "unknown"
 
 
+@pytest.mark.parametrize("entries", [
+    [[2, 0], [0, 4]],
+    [[Fraction(2, 3), 0], [0, Fraction(4, 5)]],
+    [[ExactScalar.sqrt(2) * 3, 0], [0, ExactScalar.sqrt(2) * 5]],
+])
+def test_normalized_verdict_describes_the_stored_matrix(entries):
+    """The multiplier of a normalized exact form makes its own matrix
+    integral, and classify_rationality returns the stored verdict."""
+    f = build_form(entries, normalize=True)
+    assert f.is_exact and f.rationality.kind == "rational"
+    M = f.rationality.multiplier
+    for i in range(f.dim):
+        for j in range(f.dim):
+            prod = M * f.exact_entry(i, j)
+            assert prod.is_rational and prod.as_fraction().denominator == 1
+    assert classify_rationality(f) == f.rationality
+
+
 def test_rationality_surd_multiple_of_integer_matrix():
     # sqrt(2) * diag(1, 2) is rational in the real-multiple sense: M = 1/sqrt(2)
     g = diagonal_form([ExactScalar.sqrt(2), ExactScalar.sqrt(2) * 2])

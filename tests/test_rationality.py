@@ -169,25 +169,29 @@ def test_probe_validation():
         rationality_probe(form, -1.0, 4.0, [10, 20, 40])
 
 
-# sup_phi_symmetrized of the two-copy engine this one replaced (a float grid
-# over +-u and four scalar long-double golden searches)
-SUP_SYM_PINNED = [("surd9", 10.0, 1.1004859371229373e-08),
-                  ("d2", 20.0, 0.038819674959585326)]
+# sup_phi_symmetrized of earlier engines in extended precision: a float grid
+# over +-u and scalar golden searches (r = 10 and d2), then lane searches
+# (r = 20 and 40); values this small carry more relative rounding
+SUP_SYM_PINNED = [("surd9", 10.0, 1.1004859371229373e-08, 1e-12),
+                  ("surd9", 20.0, 3.334118371848636e-11, 1e-11),
+                  ("surd9", 40.0, 1.6530233971032762e-13, 1e-11),
+                  ("d2", 20.0, 0.038819674959585326, 1e-12)]
 
 
-@pytest.mark.parametrize("name,r,value", SUP_SYM_PINNED)
-def test_sup_phi_symmetrized_matches_pinned_values(surd9, name, r, value):
+@pytest.mark.parametrize("name,r,value,rel", SUP_SYM_PINNED,
+                         ids=[f"{n}-{r}-{v}" for n, r, v, _ in SUP_SYM_PINNED])
+def test_sup_phi_symmetrized_matches_pinned_values(surd9, name, r, value, rel):
     form = surd9 if name == "surd9" else diagonal_form(
         [ExactScalar(1), ExactScalar.sqrt(2)])
     assert sup_phi_symmetrized(form, 0.5, 4.0, r) == pytest.approx(
-        value, rel=1e-12, abs=0)
+        value, rel=rel, abs=0)
 
 
 @pytest.mark.parametrize("r", [10.0, 20.0, 40.0])
 def test_sup_phi_symmetrized_reaches_the_integer_plateau(r):
-    """phi_sym(pi; r) = 1 for the integer form I2.  The long-double kernel
-    must fall monotonically away from pi: a dip of 2.5e-11 at 3e-10 from pi
-    (r = 40) steers the search to 1 - 3.1e-12, 8e-10 from pi."""
+    """phi_sym(pi; r) = 1 for the integer form I2.  The kernel must fall
+    monotonically away from pi: a dip of 2.5e-11 at 3e-10 from pi (r = 40)
+    steers the search to 1 - 3.1e-12, 8e-10 from pi."""
     I2 = build_form([[1, 0], [0, 1]])
     assert sup_phi_symmetrized(I2, 0.5, 4.0, r) == 1.0
 

@@ -13,7 +13,7 @@ from qflab import util
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form, parse_form_file
 from qflab.gaps import oppenheim_scan
-from qflab.lattice import count_ellipsoid, enumerate_values
+from qflab.lattice import count_ellipsoid, enumerate_values, quad_values
 from qflab.rationality import count_H, successive_minima
 from qflab.scalars import ExactScalar
 from qflab.smoothing import build_scheme, f_mu
@@ -62,7 +62,7 @@ def _count(r):
 BOX_SCANS = {
     "enumerate_values": lambda: _spectrum(
         enumerate_values(IND3, [0.1, -0.2, 0.25], 9, (-5.0, 5.0))),
-    # d = 2, where einsum would round blocks of one or two rows another way
+    # d = 2, also run at blocks of one and two rows below
     "enumerate_values_2d": lambda: _spectrum(
         enumerate_values(ND2, [0.1, -0.2], 12, (-1.0, 2000.0))),
     "oppenheim_scan": lambda: [
@@ -124,6 +124,23 @@ def test_box_scan_memory_is_bounded(scan):
     assert peak < (96 if scan == "count_ellipsoid" else 64) * 2 ** 20
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_row_kernel_does_not_depend_on_block_size(d, monkeypatch):
+    """row_products and quad_values round every row as one call on all rows
+    does, at every block size from 1 to 40 rows."""
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    mat, a = A + A.T, rng.uniform(-1.0, 1.0, d)
+    X = rng.integers(-40, 41, size=(60, d))
+    Y = X - a
+    rows, values = util.row_products(Y, mat), quad_values(mat, a, X)
+    for size in range(1, 41):
+        blocks = [util.row_products(Y[i:i + size], mat) for i in range(0, 60, size)]
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
+        monkeypatch.setattr(util, "BOX_CHUNK", size * d)
+        assert quad_values(mat, a, X).tobytes() == values.tobytes()
+
+
 def _golden_scalar_reference(f, lo, hi, iters=60):
     """The scalar golden-section loop golden_max must reproduce bit for bit:
     it returns the first point of largest value among all it evaluated."""
@@ -183,11 +200,11 @@ def test_golden_keeps_the_best_point_on_a_plateau():
 
 
 def test_golden_scalar_is_the_old_loop(surd9):
-    """Lanes over the long-double engine are scalar searches over phi_symmetrized."""
+    """Lanes over the engine are scalar searches over phi_symmetrized."""
     qdiag = np.diagonal(surd9.matrix)
 
     def lanes(t):
-        return symmetrized_transform(qdiag, t, 6, 1, np.longdouble).astype(float)
+        return symmetrized_transform(qdiag, t, 6, 1).astype(float)
 
     lo = np.array([0.5, 1.3, 2.2, 3.0])
     hi = np.array([0.55, 1.31, 2.2, 3.4])
