@@ -18,9 +18,12 @@ for the largest threshold answers every threshold.
   (`dp_for_form`): per-coordinate value distributions are convolved on an
   integer lattice of scaled value coordinates, one axis per surd radicand,
   exact for arbitrary surd diagonals and far beyond enumeration at d = 9.
-  Each coordinate shift-adds only the bounding box of the table's nonzero
-  cells (early partial sums fill a small corner), while work and budget are
-  charged for the full box;
+  Each coordinate shift-adds the bounding box of the table's nonzero cells
+  (early partial sums fill a small corner) once per distinct row in exact
+  tables (m and 2a - m give one row), and under a cap only the part of it
+  that can land below the cap; work and budget are charged for the full
+  box.  No float value is kept per cell: the distribution computes the
+  values of the nonzero cells alone;
 * else one loop over point blocks of at most `util.BOX_CHUNK` rows, from the
   pruned enumeration of an ellipsoid (`EllipsoidBlocks`) or a box B(r).
 """
@@ -230,7 +233,6 @@ class DiagonalDP:
     offsets: tuple[int, ...]
     m_ranges: tuple[tuple[int, int], ...]   # lattice box, per coordinate
     table: np.ndarray           # ndim == len(basis); counts or weights
-    values: np.ndarray          # float value at every cell
 
     @property
     def work(self) -> int:
@@ -243,21 +245,24 @@ class DiagonalDP:
         it holds copies, never the DP, so the two are freed together."""
         flat = self.table.reshape(-1)
         cells = np.flatnonzero(flat)
+        values = _cell_values(self.table.shape, self.basis, self.scales, self.offsets, cells)
         return ValueDistribution(
-            values=self.values.reshape(-1)[cells], masses=flat[cells],
-            method="diagonal-dp", work=self.work,
+            values=values, masses=flat[cells], method="diagonal-dp", work=self.work,
             radius=float(max(abs(b) for rng in self.m_ranges for b in rng)), cells=cells,
             lattice=(self.table.shape, self.basis, self.scales, self.offsets))
 
 
-def _cell_values(shape, basis, scales, offsets) -> np.ndarray:
-    """Float value at every cell, via broadcast outer sums."""
-    val = np.zeros(shape)
+def _cell_values(shape, basis, scales, offsets, cells=None) -> np.ndarray:
+    """Float value of every cell, or of the given flat cells only: one term
+    per axis added in axis order from 0, so both round alike."""
+    val = np.zeros(shape if cells is None else len(cells))
     for axis, (b, sc, off) in enumerate(zip(basis, scales, offsets)):
-        coords = (np.arange(shape[axis]) + off) * (math.sqrt(b) / sc)
-        sh = [1] * len(shape)
-        sh[axis] = -1
-        val = val + coords.reshape(sh)
+        if cells is None:
+            idx = np.arange(shape[axis]).reshape([-1 if ax == axis else 1
+                                                   for ax in range(len(shape))])
+        else:
+            idx = cells // math.prod(shape[axis + 1:]) % shape[axis]
+        val += (idx + off) * (math.sqrt(b) / sc)
     return val
 
 
@@ -290,17 +295,48 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, origin: Sequence[int],
         dst[tuple(dst_slc)] += weight * src[tuple(src_slc)]
 
 
-def _add_coordinate(table: np.ndarray, rows: np.ndarray,
-                    w: Optional[np.ndarray]) -> np.ndarray:
+def _add_coordinate(table: np.ndarray, rows: np.ndarray, w: Optional[np.ndarray],
+                    reach=None) -> np.ndarray:
     """The table convolved with one coordinate's contribution rows (weighted
-    by w): one shift-add per row, of the nonzero box only."""
+    by w).  A row depends on m only through (m - a)^2, so in exact tables
+    each distinct row is added once: counts add the rows of two points,
+    double the new table in place, then add the rows of one point; object
+    weights add a row once with its points' weights summed exactly.  Float
+    weights add every row in order, as merging would reorder their sums.
+    Each row shift-adds the nonzero box, and on pruned builds only the first
+    `reach(origins)` cells of it per axis: the rest land above the cap."""
     box = _nonzero_box(table)
     new = np.zeros_like(table)
-    if box is not None:
-        src = table[box]
-        start = np.array([b.start for b in box])
-        for mi in range(rows.shape[0]):
-            _shift_add(new, src, start + rows[mi], 1 if w is None else w[mi])
+    if box is None:
+        return new
+    src = table[box]
+    start = np.array([b.start for b in box])
+
+    def add(rows, weights):
+        origins = start + rows
+        ends = (np.broadcast_to(src.shape, origins.shape) if reach is None
+                else reach(origins)).tolist()
+        for origin, end, wi in zip(origins.tolist(), ends, weights):
+            if min(end) > 0:
+                _shift_add(new, src[tuple(slice(0, int(e)) for e in end)], origin, wi)
+
+    if w is not None and w.dtype != object:
+        add(rows, w)
+        return new
+    points: dict = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        points.setdefault(row, []).append(i)
+    rows = np.array(list(points), dtype=np.int64)
+    if w is not None:
+        add(rows, [sum(w[i] for i in p) for p in points.values()])
+        return new
+    # c points = 2 (c // 2) + c % 2; c is 1 or 2 unless q_j = 0
+    half = np.array([len(p) // 2 for p in points.values()])
+    odd = np.array([len(p) % 2 for p in points.values()], dtype=bool)
+    if half.any():
+        add(rows[half > 0], half[half > 0].tolist())
+        new *= 2
+    add(rows[odd], [1] * int(odd.sum()))
     return new
 
 
@@ -362,17 +398,27 @@ def diagonal_value_dp(diag: Sequence[ExactScalar],
         dtype = object if np.asarray(weights).dtype == object else np.float64
     w = None if weights is None else np.asarray(weights, dtype=dtype)
 
-    values = _cell_values(shape, basis, scales, offsets)
-    cap_mask = values > cap_pad if pruned else None
+    reach = cap_mask = None
+    if pruned:
+        cap_mask = _cell_values(shape, basis, scales, offsets) > cap_pad
+        # cell values rise along every axis by unit_b per index, so from
+        # origin x only the first (lim - v(x)) / unit_b + 2 cells of each axis
+        # can stay under the cap; lim's slack and the extra cell absorb rounding
+        unit = np.array([math.sqrt(b) / sc for b, sc in zip(basis, scales)])
+        lim = cap_pad + 1e-12 * max(1.0, abs(cap_pad))
+
+        def reach(origins):
+            room = lim - ((origins + offsets) * unit).sum(axis=1, keepdims=True)
+            return np.where(room >= 0, np.floor(room / unit) + 2, 0)
+
     table = np.zeros(shape, dtype=dtype)
     table[(0,) * len(shape)] = 1      # the empty sum
     for rows in contribs:
-        table = _add_coordinate(table, rows, w)
+        table = _add_coordinate(table, rows, w, reach)
         if pruned:
             table[cap_mask] = 0
     return DiagonalDP(basis=basis, scales=scales, offsets=offsets,
-                      m_ranges=tuple(tuple(rng) for rng in m_ranges),
-                      table=table, values=values)
+                      m_ranges=tuple(tuple(rng) for rng in m_ranges), table=table)
 
 
 def dp_count_le(dp: DiagonalDP, s: float):
@@ -489,7 +535,9 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
         if weights is not None:
             masses.append(np.prod(weights[X[keep] + half], axis=1))
     values = np.concatenate(values)
-    masses = np.ones(len(values), np.int64) if weights is None else np.concatenate(masses)
+    # unit masses of a plain count: a read-only zero-stride view, no memory
+    masses = (np.broadcast_to(np.int64(1), values.shape) if weights is None
+              else np.concatenate(masses))
     if box is not None:
         return ValueDistribution(values=values, masses=masses, method="box-scan",
                                  work=n_box, radius=float(box))

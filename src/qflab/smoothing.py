@@ -382,8 +382,10 @@ def expansion_residual(form: QuadraticForm, a, s_grid: Sequence[float],
     envelope = error_envelopes("thm21", d=d, q=q, r=r, T=T, R=scheme.R, p=p,
                                a_norm=float(np.linalg.norm(a)), eps=eps, gamma=gam)
     js = [j for j in range(2, p, 2)]
-    F_col = f_mu_curve(form, a, s_grid, scheme, budget=budget)
+    # the nu-draw goes first: its two n x d arrays set the peak RSS, and heap
+    # that the DP build frees stays resident without fitting them
     nu_rows = _f_nu_grid(form, a, s_grid, scheme, js, samples, seed, workers)
+    F_col = f_mu_curve(form, a, s_grid, scheme, budget=budget)
     rows = [{"s": s, "F": F, "F0": F0, "F_j": fjs,
              "residual": F - total.mean, "residual_stderr": total.stderr}
             for s, F, (F0, *fjs, total) in zip(s_grid, F_col, nu_rows)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from conftest import brute_count, brute_points, brute_values
 from qflab import lattice
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
-from qflab.lattice import (MERGE_RTOL, PRUNE_PAD_RTOL, _cell_values,
+from qflab.lattice import (MERGE_RTOL, PRUNE_PAD_RTOL,
                            count_ellipsoid, count_shell, diagonal_value_dp,
                            dp_count_le, dp_for_form, dp_window_values,
                            enumerate_values, value_distribution)
@@ -214,6 +215,17 @@ def _full_shift_add(dst, src, offs, weight):
         dst[tuple(dst_slc)] += weight * src[tuple(src_slc)]
 
 
+def _full_cell_values(shape, basis, scales, offsets):
+    """Float value at every cell, via broadcast outer sums."""
+    val = np.zeros(shape)
+    for axis, (b, sc, off) in enumerate(zip(basis, scales, offsets)):
+        coords = (np.arange(shape[axis]) + off) * (math.sqrt(b) / sc)
+        sh = [1] * len(shape)
+        sh[axis] = -1
+        val = val + coords.reshape(sh)
+    return val
+
+
 def _full_table_dp(diag, shift, m_ranges, cap=None, weights=None, dtype=None):
     """The DP table as built by shift-adding the whole table for every
     coordinate after seeding the table from the first one."""
@@ -257,7 +269,7 @@ def _full_table_dp(diag, shift, m_ranges, cap=None, weights=None, dtype=None):
             dtype = np.int64
         else:
             dtype = object if np.asarray(weights).dtype == object else np.float64
-    values = _cell_values(shape, basis, scales, offsets)
+    values = _full_cell_values(shape, basis, scales, offsets)
     cap_mask = values > cap_pad if pruned else None
     table = np.zeros(shape, dtype=dtype)
     for j in range(d):
@@ -327,18 +339,85 @@ def test_dp_matches_full_table_reference(case, weights, monkeypatch):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3)),
                 min_size=1, max_size=4),
-       st.floats(0.5, 30.0))
-def test_dp_property_matches_full_table_and_brute(coords, cap):
-    """Random small exact diagonal forms q_j = a/b with shifts in Z/4."""
+       st.floats(0.5, 30.0), st.sampled_from(["counts", "floats", "fractions"]),
+       st.booleans())
+def test_dp_property_matches_full_table_and_brute(coords, cap, weights, on_cell):
+    """Random small exact diagonal forms q_j = a/b with shifts in Z/4, whose
+    (m - a_j)^2 come in equal pairs and singletons, counted or weighted by
+    an asymmetric float or Fraction column, with a cap anywhere or exactly
+    on a cell value: the table equals the full-table build bit for bit."""
     diag = [ExactScalar(Fraction(num, den)) for num, den, _ in coords]
     shift = [Fraction(a4, 4) for _, _, a4 in coords]
     form = diagonal_form(diag)
     x = [float(v) for v in shift]
-    dp = dp_for_form(form, np.array(x), cap, 10 ** 8)
-    ref = _full_table_dp(diag, shift, dp.m_ranges, cap=cap)
-    _assert_same_table(dp.table, ref)
-    for s in (cap / 3, cap):
-        assert dp_count_le(dp, s) == brute_count(form.matrix, x, s)
+    if on_cell:
+        # the value of a lattice point near the cap's ellipsoid boundary
+        m = [round(float(aj) + math.sqrt(cap / (len(diag) * float(q))))
+             for q, aj in zip(diag, shift)]
+        cap = float(sum((q * (mj - aj) ** 2 for q, mj, aj in zip(diag, m, shift)),
+                        ExactScalar(0)))
+    if weights == "counts":
+        dp = dp_for_form(form, np.array(x), cap, 10 ** 8)
+        w = None
+    else:
+        col = np.arange(1, 8) * (10 - np.arange(1, 8))
+        w = (col / col.sum() if weights == "floats"
+             else np.array([Fraction(int(v), 89) for v in col], dtype=object))
+        dp = dp_for_form(form, np.array(x), cap, 10 ** 8, m_ranges=[(-3, 3)] * len(diag),
+                         weights=w)
+    _assert_same_table(dp.table, _full_table_dp(diag, shift, dp.m_ranges, cap=cap, weights=w))
+    if weights == "counts":
+        for s in (cap / 3, cap):
+            assert dp_count_le(dp, s) == brute_count(form.matrix, x, s)
+
+
+def test_count_build_merges_rows_and_charges_the_full_box(surd9, monkeypatch):
+    """At a = 0 the rows of m and -m coincide, so a count build makes at most
+    ceil(rows / 2) shift-adds per coordinate; its work and its budget refusal
+    still charge table.size x the sum of the box widths."""
+    adds = []
+    add_coordinate, shift_add = lattice._add_coordinate, lattice._shift_add
+
+    def counted_add_coordinate(table, rows, *args):
+        adds.append([len(rows), 0])
+        return add_coordinate(table, rows, *args)
+
+    def counted_shift_add(*args):
+        adds[-1][1] += 1
+        shift_add(*args)
+
+    monkeypatch.setattr(lattice, "_add_coordinate", counted_add_coordinate)
+    monkeypatch.setattr(lattice, "_shift_add", counted_shift_add)
+    dp = dp_for_form(surd9, np.zeros(9), 200.0, 10 ** 10)
+    widths = [hi - lo + 1 for lo, hi in dp.m_ranges]
+    assert [rows for rows, _ in adds] == widths
+    assert all(n <= math.ceil(rows / 2) for rows, n in adds)
+    assert dp.work == dp.table.size * sum(widths)
+    with pytest.raises(BudgetExceededError) as err:
+        dp_for_form(surd9, np.zeros(9), 200.0, dp.work - 1)
+    assert err.value.required == dp.work
+
+
+def test_count_build_keeps_no_float_table(surd9):
+    """A count build and its distribution peak below two tables, the cap
+    mask and the distribution's three arrays, and the build alone within a
+    quarter table of two tables and the mask: no per-cell float table and
+    no table-sized temporary such as a pre-doubled source.  The
+    distribution's values are the full table's cell values read at its
+    cells, bit for bit."""
+    tracemalloc.start()
+    try:
+        dp = dp_for_form(surd9, np.zeros(9), 400.0, 10 ** 10)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        dist = dp.distribution
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = 2 * dp.table.nbytes + dp.table.size
+    assert build_peak < tables + dp.table.nbytes // 4
+    assert peak < tables + dist.values.nbytes + dist.masses.nbytes + dist.cells.nbytes
+    full = _full_cell_values(dp.table.shape, dp.basis, dp.scales, dp.offsets)
+    assert full.reshape(-1)[dist.cells].tobytes() == dist.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +468,8 @@ def test_border_rule_exact_and_float():
     en = value_distribution(_float_clone(form), np.array([0.25]), s, 10 ** 6)
     assert (dp.method, en.method) == ("diagonal-dp", "enumeration")
     assert (dp.mass_le(s), en.mass_le(s)) == (14, 13)
+    # a plain count's unit masses: a read-only view that takes no memory
+    assert en.masses.strides == (0,) and not en.masses.flags.writeable
     assert dp.window(100.0, s)[1].tolist() == [1]
     assert en.window(100.0, s)[1].tolist() == []
 
