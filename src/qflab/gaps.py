@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .forms import QuadraticForm, shift_array
-from .lattice import MERGE_RTOL, enumerate_values, quad_values, value_distribution
-from .util import box_blocks
+from .lattice import (MERGE_RTOL, enumerate_values, quad_values, value_distribution,
+                      window_blocks)
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,20 @@ def oppenheim_scan(form: QuadraticForm, a, target: tuple[float, float],
 
     The trivial value at x = 0 (and exact zeros) is ignored, which makes
     targets like (-eps, eps) probe m(Q) = 0.  Exhaustion of the schedule is
-    reported, never treated as a falsification.
+    reported, never treated as a falsification.  Each radius rescans its box
+    through `window_blocks`, which touches (2r + 1)^(d-1) prefixes and only
+    the candidates of the target, while the budget counts box points.
     """
     alpha, beta = target
     if not alpha < beta:
         raise ValueError("target must be a nonempty interval")
     a = shift_array(form, a)
-    d = form.dim
     tried = []
     for r in r_schedule:
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError("r must be finite and >= 0")
         witness, value = None, math.inf
-        for X in box_blocks(math.floor(r), d, budget):
+        for X in window_blocks(form.matrix, a, math.floor(r), alpha, beta, budget):
             vals = quad_values(form.matrix, a, X)
             hits = np.flatnonzero((vals > alpha) & (vals <= beta)
                                   & (np.abs(vals) > MERGE_RTOL))

@@ -25,7 +25,10 @@ for the largest threshold answers every threshold.
   box.  No float value is kept per cell: the distribution computes the
   values of the nonzero cells alone;
 * else one loop over point blocks of at most `util.BOX_CHUNK` rows, from the
-  pruned enumeration of an ellipsoid (`EllipsoidBlocks`) or a box B(r).
+  pruned enumeration of an ellipsoid (`EllipsoidBlocks`) or the window scan
+  of a box B(r) (`window_blocks`), which solves the last coordinate per
+  prefix x_1..x_{d-1} for the points whose value can lie in (floor, cap];
+  the work and budget still count the box points.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -197,6 +200,102 @@ class EllipsoidBlocks:
                 keep = Tn <= cap_p
                 children.append((i - 1, Xn[keep], Tn[keep]))
             stack += children[::-1]
+
+
+def _sublevel(A: np.ndarray, B: np.ndarray, C: float, s: float):
+    """(t1, t2) with [t1, t2] = {t : A + 2Bt + Ct^2 <= s} for C > 0, and
+    t1 > t2 when it is empty.  The roots take the stable form q / C and
+    (A - s) / q, q = -(B + sign(B) sqrt(D)): (-B +- sqrt(D)) / C loses the
+    small root when |C| << B^2."""
+    if s == math.inf:
+        return np.full_like(A, -math.inf), np.full_like(A, math.inf)
+    D = B * B - C * (A - s)
+    q = -(B + np.copysign(np.sqrt(np.maximum(D, 0.0)), B))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1 = q / C
+        r2 = np.where(q == 0, r1, (A - s) / q)
+    ok = D >= 0
+    return (np.where(ok, np.minimum(r1, r2), math.inf),
+            np.where(ok, np.maximum(r1, r2), -math.inf))
+
+
+def _window_intervals(A: np.ndarray, B: np.ndarray, C: float, lo: float, hi: float):
+    """Two t-intervals per entry whose union holds {t : lo <= A + 2Bt + Ct^2
+    <= hi}; an interval (t1, t2) with t1 > t2 is empty."""
+    if C < 0:
+        A, B, C, lo, hi = -A, -B, -C, -hi, -lo
+    none = (np.full_like(A, math.inf), np.full_like(A, -math.inf))
+    if C == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1, r2 = (lo - A) / (2 * B), (hi - A) / (2 * B)
+        inside = (lo <= A) & (A <= hi)
+        flat = B == 0
+        return (np.where(flat, np.where(inside, -math.inf, math.inf), np.minimum(r1, r2)),
+                np.where(flat, np.where(inside, math.inf, -math.inf), np.maximum(r1, r2))), none
+    # {Q <= hi} minus the points of {Q <= lo}
+    (t1, t2), (u1, u2) = _sublevel(A, B, C, hi), _sublevel(A, B, C, lo)
+    return (t1, np.minimum(t2, u1)), (np.maximum(t1, u2), t2)
+
+
+def window_blocks(mat: np.ndarray, a: np.ndarray, half: int, lo: float, hi: float,
+                  budget: int) -> Iterator[np.ndarray]:
+    """The points x of the box [-half, half]^d whose value Q[x - a] can lie in
+    (lo, hi], as int64 blocks of at most util.BOX_CHUNK rows in the
+    lexicographic order of `util.box_blocks`.
+
+    Each prefix x_1..x_{d-1} (one empty prefix at d = 1) leaves the quadratic
+    A + 2B t + C t^2 in t = x_d - a_d, whose at most two t-intervals inside the
+    window, padded by PRUNE_PAD_RTOL * max(1, |lo|, |hi|) plus a bound on the
+    rounding of the values, widened by one integer on each side and clipped
+    to the box, are its candidates.  The set is a superset; callers apply the
+    final float predicate themselves.  The budget is charged the whole box
+    on the call, before any block is made.
+    """
+    mat, a = np.asarray(mat, dtype=float), np.asarray(a, dtype=float)
+    d = len(a)
+    util.box_size(half, d, budget)
+    ymax = half + np.abs(a)
+    pad = (PRUNE_PAD_RTOL * max([1.0] + [abs(v) for v in (lo, hi) if math.isfinite(v)])
+           + 8 * (d + 1) * np.finfo(float).eps * float(ymax @ np.abs(mat) @ ymax))
+    prefixes = (box_blocks(half, d - 1, budget) if d > 1
+                else [np.zeros((1, 0), dtype=np.int64)])
+    return _window_stream(mat, a, half, lo - pad, hi + pad, prefixes)
+
+
+def _window_stream(mat, a, half, lo, hi, prefixes):
+    d, chunk = len(a), util.BOX_CHUNK
+    M, b, C = mat[:-1, :-1], (mat[-1, :-1] + mat[:-1, -1]) / 2, float(mat[-1, -1])
+    for P in prefixes:
+        Y = P - a[:-1]
+        A = (util.row_products(Y, M) * Y).sum(axis=1)
+        ranges = []
+        for t1, t2 in _window_intervals(A, Y @ b, C, lo, hi):
+            x1 = np.maximum(np.ceil(t1 + a[-1]) - 1, -half)
+            n = np.maximum(np.minimum(np.floor(t2 + a[-1]) + 1, half) - x1 + 1, 0)
+            ranges.append((np.where(n > 0, x1, 0).astype(np.int64), n.astype(np.int64)))
+        (x1, n1), (x2, n2) = ranges
+        # overlapping or adjacent intervals of a prefix merge into the first
+        join = (n1 > 0) & (n2 > 0) & (x2 <= x1 + n1)
+        n1 = np.where(join, np.maximum(x1 + n1, x2 + n2) - x1, n1)
+        n2 = np.where(join, 0, n2)
+        start = np.stack([x1, x2], axis=1).ravel()
+        count = np.stack([n1, n2], axis=1).ravel()
+        owner = np.repeat(np.arange(len(P)), 2)
+        # ranges longer than a block are cut into pieces of at most one block
+        pieces = -(-count // chunk)
+        idx, k = util.expand_ranges(np.zeros_like(pieces), pieces)
+        start, owner = start[idx] + k * chunk, owner[idx]
+        count = np.minimum(count[idx] - k * chunk, chunk)
+        ends = np.cumsum(count)
+        i = 0
+        while i < len(count):
+            j = int(np.searchsorted(ends, ends[i] - count[i] + chunk, side="right"))
+            rows, xd = util.expand_ranges(start[i:j], count[i:j])
+            X = np.empty((len(rows), d), dtype=np.int64)
+            X[:, :-1] = P[owner[i:j][rows]]
+            X[:, -1] = xd
+            yield X
+            i = j
 
 
 def ellipsoid_candidates(mat: np.ndarray, a: np.ndarray, cap: float,
@@ -487,9 +586,10 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
                        method: str = "auto") -> ValueDistribution:
     """The distribution of Q[x - a] answering every query up to `cap`.
 
-    The points are the box [-box, box]^d, or else the ellipsoid Q[x - a] <=
-    cap, clipped to [-H, H]^d by `weights`, one column of 2H + 1 weights for
-    every coordinate (without it every point counts 1).  The DP runs for
+    The points are the box [-box, box]^d (only those `window_blocks` finds
+    can lie in (floor, cap]), or else the ellipsoid Q[x - a] <= cap, clipped
+    to [-H, H]^d by `weights`, one column of 2H + 1 weights for every
+    coordinate (without it every point counts 1).  The DP runs for
     exact diagonal forms with rational shift, on a box only above
     BOX_DP_POINTS points and not when its work exceeds the budget while the
     box fits.  Otherwise the box blocks or the ellipsoid's enumeration
@@ -520,7 +620,7 @@ def value_distribution(form: QuadraticForm, a: np.ndarray, cap: float,
         raise ValueError("diagonal-dp requires an exact diagonal form "
                          "and a rational shift")
     if box is not None:
-        blocks = box_blocks(box, d, budget)
+        blocks = window_blocks(form.matrix, a, box, floor, cap, budget)
     elif not form.is_positive:
         raise ValueError("enumeration needs a positive form")
     else:
@@ -598,13 +698,16 @@ def enumerate_values(form: QuadraticForm, a, r: float,
     """All values Q[x-a], x in B(r) cap Z^d, inside the window (alpha, beta].
 
     Values closer than 1e-9 * max(1, |alpha|, |beta|) coalesce into one
-    spectrum entry with summed multiplicity.
+    spectrum entry with summed multiplicity, so the window and r must be
+    finite.
     """
     alpha, beta = window
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("window bounds must be finite")
     if not alpha < beta:
         raise ValueError("window must satisfy alpha < beta")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("r must be finite and >= 0")
     a = shift_array(form, a)
     dist = value_distribution(form, a, beta, budget, box=math.floor(r), floor=alpha)
     values, mults = dist.spectrum(alpha, beta)

@@ -5,6 +5,10 @@ expander.
 Every scan of a full box [-H, H]^d goes through `box_blocks`, which yields the
 box in fixed-size blocks: memory is O(BOX_CHUNK * d) however large the box,
 while the budget still counts box points; `lattice.EllipsoidBlocks` too.
+Value listings and Oppenheim scans keep only a window of values: they read
+`lattice.window_blocks`, which walks the prefixes x_1..x_{d-1} with
+`box_blocks` and solves the last coordinate per prefix; `box_size` charges
+them the whole box all the same.
 """
 
 from __future__ import annotations
@@ -68,20 +72,25 @@ def golden_max(f, lo, hi, iters: int = 60):
     return np.take_along_axis(xs, best, 0)[0], np.take_along_axis(fs, best, 0)[0]
 
 
+def box_size(half: int, d: int, budget: int) -> int:
+    """The number of points of [-half, half]^d, refused above the budget."""
+    if half < 0:
+        raise ValueError("box half-width must be >= 0")
+    total = (2 * half + 1) ** d
+    if total > budget:
+        raise BudgetExceededError(
+            f"box of {total} points exceeds budget {budget}", required=total)
+    return total
+
+
 def box_blocks(half: int, d: int, budget: int) -> Iterator[np.ndarray]:
     """The box [-half, half]^d as int64 (k, d) blocks of at most BOX_CHUNK rows.
 
     Rows come in lexicographic order, the last coordinate varying fastest.
     The size check happens on the call, before any block is made.
     """
-    if half < 0:
-        raise ValueError("box half-width must be >= 0")
-    side = 2 * half + 1
-    total = side ** d
-    if total > budget:
-        raise BudgetExceededError(
-            f"box of {total} points exceeds budget {budget}", required=total)
-    shape, chunk = (side,) * d, BOX_CHUNK
+    total = box_size(half, d, budget)
+    shape, chunk = (2 * half + 1,) * d, BOX_CHUNK
     return (np.stack(np.unravel_index(np.arange(start, min(start + chunk, total)),
                                       shape), axis=1) - half
             for start in range(0, total, chunk))

@@ -422,6 +422,27 @@ def test_out_of_range_values_exit_1(tmp_path, capsys, form_text, argv, reason):
     assert _fails([*argv, "--form", str(p)], capsys) == reason
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["raw-op", "-p", "op=enumerate-values", "-p", "r=5", "-p", "window=-inf,3"],
+     "window bounds must be finite"),
+    (["gap-curve", "-p", "r_grid=5", "-p", "window=-inf,3"],
+     "window bounds must be finite"),
+    (["raw-op", "-p", "op=enumerate-values", "-p", "r=inf", "-p", "window=-1,3"],
+     "r must be finite and >= 0"),
+    (["raw-op", "-p", "op=enumerate-values", "-p", "r=nan", "-p", "window=-1,3"],
+     "r must be finite and >= 0"),
+    (["gap-curve", "-p", "r_grid=inf", "-p", "window=-1,3"],
+     "r must be finite and >= 0"),
+    (["gap-curve", "-p", "r_grid=nan", "-p", "window=-1,3"],
+     "r must be finite and >= 0"),
+], ids=["raw-op-inf-window", "gap-curve-inf-window", "raw-op-r-inf", "raw-op-r-nan",
+        "gap-curve-r-inf", "gap-curve-r-nan"])
+def test_non_finite_value_listings_exit_1(tmp_path, capsys, argv, reason):
+    p = tmp_path / "q.form"
+    p.write_text(FORM_Q3)
+    assert _fails([*argv, "--form", str(p)], capsys) == reason
+
+
 def test_missing_raw_op_key_is_named(i2_file, capsys):
     reason = _fails(["raw-op", "--form", i2_file, "-p", "op=count-ellipsoid"],
                     capsys)

@@ -102,3 +102,9 @@ def test_oppenheim_scan_exhaustion_on_integer_form(hyperbolic2):
 def test_oppenheim_scan_rejects_negative_radius(hyperbolic2):
     with pytest.raises(ValueError):
         oppenheim_scan(hyperbolic2, [0, 0], (0.5, 1.5), [-3])
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_oppenheim_scan_rejects_non_finite_radii(hyperbolic2, r):
+    with pytest.raises(ValueError, match=r"r must be finite and >= 0"):
+        oppenheim_scan(hyperbolic2, [0, 0], (0.5, 1.5), [r])

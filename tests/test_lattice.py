@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_count, brute_points, brute_values
-from qflab import lattice
+from qflab import lattice, util
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
 from qflab.lattice import (MERGE_RTOL, PRUNE_PAD_RTOL,
@@ -189,6 +189,120 @@ def test_enumerate_values_budget_refusal(identity2):
         enumerate_values(build_form(np.eye(3)), [0.0] * 3, 60, (0.0, 1.0),
                          budget=10 ** 4)
     assert err.value.required == 121 ** 3
+
+
+@pytest.mark.parametrize("window", [(-math.inf, 3.0), (-100.0, math.inf),
+                                    (math.nan, 3.0)])
+def test_enumerate_values_refuses_non_finite_windows(hyperbolic2, window):
+    """An infinite bound would make the merge tolerance infinite and fold the
+    whole spectrum into one value."""
+    with pytest.raises(ValueError, match="window bounds must be finite"):
+        enumerate_values(hyperbolic2, [0, 0], 5, window)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -1])
+def test_enumerate_values_refuses_bad_radii(hyperbolic2, r):
+    with pytest.raises(ValueError, match=r"r must be finite and >= 0"):
+        enumerate_values(hyperbolic2, [0, 0], r, (-5.0, 5.0))
+
+
+def _box_scan(blocks, mat, a, lo, hi):
+    """Kept values and points of a block stream under the final predicate."""
+    vals, pts = [np.empty(0)], [np.empty((0, len(a)), dtype=np.int64)]
+    for X in blocks:
+        v = lattice.quad_values(mat, a, X)
+        keep = (v > lo) & (v <= hi)
+        vals.append(v[keep])
+        pts.append(X[keep])
+    return np.concatenate(vals), np.concatenate(pts)
+
+
+_QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+_ENTRY = st.one_of(_QUARTERS, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _window_cases(draw):
+    d = draw(st.integers(1, 4))
+    half = draw(st.integers(0, (30, 9, 4, 2)[d - 1]))
+    A = np.array(draw(st.lists(_ENTRY, min_size=d * d, max_size=d * d))).reshape(d, d)
+    mat = (A + A.T) / 2
+    last = draw(st.sampled_from(["free", "zero-row", "C=0", "C=1e-16", "C=-1e-19"]))
+    if last == "zero-row":
+        mat[-1, :] = mat[:, -1] = 0.0
+    elif last != "free":
+        mat[-1, -1] = float(last[2:])
+        if d > 1:
+            mat[-1, 0] = mat[0, -1] = 0.3
+    rational = st.lists(_QUARTERS, min_size=d, max_size=d)
+    irrational = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(
+        lambda v: [x + math.sqrt(2) / 7 for x in v])
+    a = np.array(draw(st.one_of(rational, irrational)))
+    box = np.concatenate(list(util.box_blocks(half, d, 10 ** 6)))
+    values = np.sort(lattice.quad_values(mat, a, box))
+    lo = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(values.tolist()),
+                        st.just(-math.inf)))
+    hi = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(values.tolist())))
+    if not lo < hi:
+        hi = (lo if math.isfinite(lo) else hi) + draw(st.floats(0.1, 20.0))
+    chunk = draw(st.sampled_from([util.BOX_CHUNK, 13, 1]))
+    return mat, a, half, lo, hi, chunk
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_window_cases())
+def test_window_blocks_keep_what_the_full_box_scan_keeps(case):
+    """Random symmetric forms (a zero last row and column, C = 0 or |C| tiny
+    next to B = 0.3, rational and irrational shifts, bounds at attained
+    values, an infinite floor), at three block sizes: the window stream under
+    the final predicate keeps the full scan's values and points, byte for
+    byte, in lexicographic blocks of at most one block size."""
+    mat, a, half, lo, hi, chunk = case
+    saved, util.BOX_CHUNK = util.BOX_CHUNK, chunk
+    try:
+        blocks = list(lattice.window_blocks(mat, a, half, lo, hi, 10 ** 6))
+        want = _box_scan(util.box_blocks(half, len(a), 10 ** 6), mat, a, lo, hi)
+    finally:
+        util.BOX_CHUNK = saved
+    assert all(b.dtype == np.int64 and 0 < len(b) <= chunk for b in blocks)
+    stream = np.concatenate([np.empty((0, len(a)), dtype=np.int64), *blocks])
+    assert np.array_equal(np.unique(stream, axis=0), stream)     # strictly lexicographic
+    got = _box_scan(blocks, mat, a, lo, hi)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("C", [1e-16, 1e-19])
+def test_window_roots_survive_a_tiny_last_pivot(C):
+    """The textbook roots (-B +- sqrt(D)) / C lose most values of this window
+    when |C| << B^2; the stable form keeps all of them."""
+    mat, a = np.array([[1.0, 0.3], [0.3, C]]), np.zeros(2)
+    want = _box_scan(util.box_blocks(40, 2, 10 ** 6), mat, a, -2.0, 2.0)
+    got = _box_scan(lattice.window_blocks(mat, a, 40, -2.0, 2.0, 10 ** 6), mat, a, -2.0, 2.0)
+    assert len(want[0]) > 30
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("window", [(-10.0, 10.0), (-0.05, 0.05), (5.0, 200.0)])
+def test_window_blocks_touch_little_beyond_the_window(window):
+    """Each prefix of an indefinite form's B(30) adds at most its two
+    intervals' widened ends to the points it keeps, also when the window
+    cuts a hole (Q <= 5) out of the middle of a row."""
+    mat = np.array([[1.0, 0.4, 0.0], [0.4, -math.sqrt(2), 0.3],
+                    [0.0, 0.3, -math.sqrt(3)]])
+    a = np.array([0.1, -0.2, 0.25])
+    stream = np.concatenate(list(lattice.window_blocks(mat, a, 30, *window, 10 ** 6)))
+    kept = _box_scan([stream], mat, a, *window)[0]
+    assert len(stream) - len(kept) <= 4 * 61 ** 2
+
+
+def test_window_blocks_charge_the_whole_box_on_the_call():
+    mat = np.diag([1.0, -2.0, 0.5])
+    with pytest.raises(BudgetExceededError) as box:
+        util.box_blocks(2, 3, 124)
+    with pytest.raises(BudgetExceededError) as window:
+        lattice.window_blocks(mat, np.zeros(3), 2, 0.0, 1.0, 124)
+    assert window.value.required == box.value.required == 125
 
 
 # ---------------------------------------------------------------------------

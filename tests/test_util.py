@@ -13,7 +13,8 @@ from qflab import util
 from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form, parse_form_file
 from qflab.gaps import oppenheim_scan
-from qflab.lattice import count_ellipsoid, enumerate_values, quad_values
+from qflab.lattice import (count_ellipsoid, enumerate_values, quad_values,
+                           value_distribution)
 from qflab.rationality import count_H, successive_minima
 from qflab.scalars import ExactScalar
 from qflab.smoothing import build_scheme, f_mu
@@ -102,11 +103,14 @@ def test_two_dim_values_do_not_depend_on_tiny_blocks(chunk, monkeypatch):
     _check_block_free("enumerate_values_2d", chunk, monkeypatch)
 
 
-@pytest.mark.parametrize("scan", ["enumerate_values", "count_H", "count_ellipsoid"])
+@pytest.mark.parametrize("scan", ["enumerate_values", "whole_box_window", "count_H",
+                                  "count_ellipsoid"])
 def test_box_scan_memory_is_bounded(scan):
     """A 1.77M-point box scan stays far below what the whole box would take.
-    The enumeration of nd6 at s = 400 keeps 1.35M values and masses (22 MB)
-    and one block per level of its search tree."""
+    The window scan that keeps every point of IND3's B(60) holds 1.77M values
+    (14 MB) and never a prefix block times the box side.  The enumeration of
+    nd6 at s = 400 keeps 1.35M values and masses (22 MB) and one block per
+    level of its search tree."""
     diag = diagonal_form([ExactScalar(1), -ExactScalar.sqrt(2),
                           -ExactScalar.sqrt(3)])
     nd6 = parse_form_file(ND6_FORM.read_text())
@@ -114,6 +118,10 @@ def test_box_scan_memory_is_bounded(scan):
     try:
         if scan == "enumerate_values":
             enumerate_values(diag, [0, 0, 0], 60, (-10.0, 10.0))
+        elif scan == "whole_box_window":
+            dist = value_distribution(IND3, np.zeros(3), 1e6, 10 ** 8, box=60,
+                                      floor=-1e6)
+            assert len(dist.values) == 121 ** 3
         elif scan == "count_H":
             count_H(ND3, 0.7, 15.0)
         else:
