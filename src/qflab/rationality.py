@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import QuadraticForm
-from .trig import phi_symmetrized_batch, symmetrized_transform
+from .trig import phi_symmetrized_grid, symmetrized_transform
 from .util import box_blocks, expand_ranges, golden_max, row_products
 
 LLL_DELTA = 0.99
@@ -244,18 +244,21 @@ class ProbeResult:
 
 def sup_phi_symmetrized(form: QuadraticForm, delta0: float, delta: float,
                         r: float, k: int = 1, t_nodes: int = 512) -> float:
-    """sup of phi_sym(t; r) over [delta0, delta]: a dense grid, then one
-    golden search whose lanes are the top four candidates."""
+    """sup of phi_sym(t; r) over [delta0, delta]: a dense chirp-z grid
+    locates the top four candidates; the direct kernel reports, at them and
+    along one golden search whose lanes they seed."""
     # peaks of phi_sym have width ~ 1/r^2; scale the grid so none is skipped
     nodes = max(t_nodes, min(2 ** 20, int((delta - delta0) * r * r * 3) + 2))
-    ts = np.linspace(delta0, delta, nodes)
-    vals = phi_symmetrized_batch(form, ts, r, k)   # checks form, r and k
+    ts = np.linspace(delta0, delta, nodes)             # delta0 + j step
+    vals = phi_symmetrized_grid(form, delta0, (delta - delta0) / max(nodes - 1, 1),
+                                nodes, r, k)           # checks form, r and k
     qdiag = np.diagonal(form.matrix)
     top = np.argsort(vals)[::-1][:4]
     _, v = golden_max(lambda t: symmetrized_transform(qdiag, t, int(r), k),
                       ts[np.maximum(top - 1, 0)],
                       ts[np.minimum(top + 1, len(ts) - 1)], iters=60)
-    return max(float(np.max(vals)), float(np.max(v)))
+    at_top = symmetrized_transform(qdiag, ts[top], int(r), k)
+    return max(float(np.max(at_top)), float(np.max(v)))
 
 
 def rationality_probe(form: QuadraticForm, delta0: float, delta: float,

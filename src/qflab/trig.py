@@ -9,23 +9,25 @@ The triple sum over a box collapses to a single weighted sum by per-coordinate
 self-convolution of the uniform box weight; for diagonal forms the phase then
 splits per coordinate, the modulus of the product is the product of moduli,
 and the shift supremum reduces to one period per coordinate.  Those two
-identities carry all the heavy evaluations here, in three engines:
+identities carry all the heavy evaluations here.  At arbitrary t:
 
-* `factorized_transform`, the complex product over distinct (q_j, a_j) pairs,
-  serves every fixed-shift path: phi, its batches and profiles, f_sum and
-  the smoothing transform F-hat.
-* `_ShiftSup` serves the shift supremum (sup_phi_profile, gamma_estimate).
-  The +-m terms fold into c_m cos(2 pi alpha m) e^{i t q m^2} over m >= 0, so
-  half the shift grid and a real cosine matrix suffice.  On the uniform
-  t-grid each block of nodes multiplies a seed phasor e^{i q m^2 t_b}, taken
-  with an exact exp at the block start, by fixed step phasors; there is no
-  running recurrence.  Refinement runs the top t-candidates as the lanes of
-  one golden search, and each of its objective calls runs every
-  (coordinate, t) shift search as the lanes of another.
-* `symmetrized_transform` serves every diagonal phi_sym: phi_symmetrized,
-  its batch and the grid and peak lanes of rationality.sup_phi_symmetrized.
-  The Dirichlet-kernel ratio is even in u and the weights are symmetric, so
-  the +-u terms fold into u >= 0.
+* `factorized_transform`, the product over distinct (q_j, a_j), serves phi,
+  its batches, f_sum, F-hat, check_basic_inequality's random pairs and
+  probes, and a profile's tail node T.
+* `_ShiftSup` serves the shift supremum (sup_phi_profile, gamma_estimate)
+  over c_m cos(2 pi alpha m) e^{i t q m^2}, m >= 0; its refinement runs as
+  the lanes of golden searches.
+* `symmetrized_transform`, the direct Dirichlet kernel, serves phi_sym.
+
+On a uniform t-grid t0 + j step, two paths:
+
+* `_seeded_phasors`: seed phasors e^{i f t_b}, exact at each block start
+  t_b, times fixed step phasors (`_ShiftSup.grid`; `phi_factorized_grid`
+  for phi_profile and check_basic_inequality's peak grid, any shift).
+* `phi_symmetrized_grid`: each phi_sym factor as sum_v X_v cos(2 q t v),
+  exact integer X_v, by a blocked Bluestein chirp-z transform (Rabiner,
+  Schafer and Rader 1969).  The transform locates, the direct kernel
+  reports: sup_phi_symmetrized's value comes from `symmetrized_transform`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ TOP_CANDIDATES = 8
 REFINE_ROUNDS = 3           # golden rounds of gamma_estimate's t-refinement
 TRANSFORM_CHUNK = 2 ** 20   # (t, m) phase entries per chunk of the transform
 SYM_CHUNK = 2 ** 22         # (t, u) kernel entries per chunk of phi_sym
-SUP_BLOCK = 2 ** 15         # (alpha, t) cells per block of the sup grid
+SUP_BLOCK = 2 ** 15         # (row, t) cells per block of a seeded-phasor grid
+CHIRP_PHASE = 2.0 ** 16     # radians; a phase p rounds by ~1e-16 p
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,8 @@ def phi_weights(s: float) -> WeightTable:
 
 def _diag_entries(form: QuadraticForm) -> np.ndarray:
     if not form.is_diagonal:
-        raise ValueError("factorized mode requires a diagonal form")
+        raise ValueError("needs a diagonal form: the sum splits per coordinate "
+                         "only then")
     return np.diagonal(form.matrix).copy()
 
 
@@ -127,6 +131,34 @@ def phi_factorized_batch(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
                          table: WeightTable) -> np.ndarray:
     """phi_a(t; s) on an array of t values, diagonal forms only."""
     return np.abs(factorized_transform(qdiag, a, ts, table))
+
+
+def _seeded_phasors(freqs: np.ndarray, coef: np.ndarray, t0: float, step: float,
+                    n: int, block: int):
+    """Blocks (start, seed, steps) of t = t0 + j step, j < n, with coef_f
+    e^{i f t_{start + i}} = seed_f steps[f, i]: an exact exp at each block
+    start, so rounding does not accumulate across blocks."""
+    block = max(1, min(n, block))
+    steps = np.exp(1j * np.outer(freqs, step * np.arange(block)))
+    for start in range(0, n, block):
+        seed = coef * np.exp(1j * freqs * (t0 + step * start))
+        yield start, seed, steps[:, :min(block, n - start)]
+
+
+def phi_factorized_grid(qdiag: np.ndarray, a: np.ndarray, t0: float, step: float,
+                        n: int, table: WeightTable) -> np.ndarray:
+    """phi_factorized_batch at t = t0 + j step, j < n: seeded phasors, one
+    matrix product per block and distinct (q_j, a_j)."""
+    pairs, mult = np.unique(np.column_stack([qdiag, np.asarray(a, dtype=float)]),
+                            axis=0, return_counts=True)
+    m = table.offsets.astype(float)
+    out, z = np.ones(n), np.empty(n, dtype=complex)
+    for (qj, aj), k in zip(pairs, mult):
+        for start, seed, steps in _seeded_phasors(qj * (m - aj) ** 2, table.weights,
+                                                  t0, step, n, SUP_BLOCK // len(m)):
+            z[start:start + steps.shape[1]] = seed @ steps
+        out *= np.abs(z) ** k
+    return out
 
 
 def phi(form: QuadraticForm, a, t: float, s: float, mode: str = "auto",
@@ -239,6 +271,46 @@ def symmetrized_transform(qdiag: np.ndarray, ts: np.ndarray, n: int,
     return out
 
 
+def _sym_coefficients(n: int, k: int) -> np.ndarray:
+    """X_v, v <= 4kn^2, of sum_u w_u (D_n(z u) / (2n+1))^{2k} = sum_v X_v cos(z v):
+    (D_n(z) / (2n+1))^{2k} = sum_l d_l e^{i z l}, d = convolve_weights((n,) * 2k),
+    so X_v sums w_u d_l over |u l| = v, in exact integers rounded once."""
+    w, d = convolve_weights((n, n)), convolve_weights((n,) * (2 * k))
+    X = np.zeros(4 * k * n * n + 1, dtype=object)
+    # u = 0 or l = 0 sends a whole row to v = 0: repeated indices must add up
+    np.add.at(X, np.abs(np.outer(w.offsets, d.offsets)).ravel(),
+              np.outer(w.numerators, d.numerators).ravel())
+    return (X / (w.denominator * d.denominator)).astype(float)
+
+
+def _sym_factor_grid(q: float, X: np.ndarray, t0: float, step: float, nodes: int,
+                     n: int, k: int) -> np.ndarray:
+    """sum_v X_v cos(2 q t v), X = _sym_coefficients(n, k), at t = t0 + j step.
+
+    With w = 2 q step and x_v = X_v e^{2 i q t_b v} (block start t_b),
+    sum_v x_v e^{i w v j} = e^{i w j^2 / 2} sum_v x_v e^{i w v^2 / 2}
+    e^{-i w (j - v)^2 / 2}: one FFT convolution per block of M outputs, the
+    most with |w| (L + M)^2 / 2 <= CHIRP_PHASE (none: the direct kernel).
+    """
+    L, w = len(X), 2 * q * step
+    M = nodes if abs(w) * (L + nodes) ** 2 <= 2 * CHIRP_PHASE else (
+        math.isqrt(int(2 * CHIRP_PHASE / abs(w))) - L)
+    if M < 1:
+        return symmetrized_transform(np.array([q]), t0 + step * np.arange(nodes), n, k)
+    N = 1 << (L + M - 2).bit_length()            # power of two >= L + M - 1
+    lag = np.arange(N, dtype=float)
+    lag[N - L + 1:] -= N                         # j - v runs over 1 - L..M - 1
+    kernel = np.fft.fft(np.exp(-0.5j * w * lag * lag))
+    v, j = np.arange(L, dtype=float), np.arange(M, dtype=float)
+    pre, post = X * np.exp(0.5j * w * v * v), np.exp(0.5j * w * j * j)
+    out = np.empty(nodes)
+    for start in range(0, nodes, M):
+        x = pre * np.exp(2j * q * (t0 + step * start) * v)
+        y = np.fft.ifft(np.fft.fft(x, N) * kernel)[:min(M, nodes - start)]
+        out[start:start + len(y)] = (post[:len(y)] * y).real
+    return out
+
+
 def _sym_order(r: float, k: int) -> int:
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -251,6 +323,17 @@ def phi_symmetrized_batch(form: QuadraticForm, ts: np.ndarray, r: float,
                           k: int = 1) -> np.ndarray:
     """phi_sym on an array of t values (diagonal forms)."""
     return symmetrized_transform(_diag_entries(form), ts, _sym_order(r, k), k)
+
+
+def phi_symmetrized_grid(form: QuadraticForm, t0: float, step: float, nodes: int,
+                         r: float, k: int = 1) -> np.ndarray:
+    """phi_sym at t = t0 + j step, j < nodes (diagonal forms), by the chirp-z
+    of the exact cosine expansion per distinct q_j."""
+    q, mult = np.unique(_diag_entries(form), return_counts=True)
+    n = _sym_order(r, k)
+    X = _sym_coefficients(n, k)
+    return np.prod([_sym_factor_grid(qj, X, t0, step, nodes, n, k) ** m
+                    for qj, m in zip(q, mult)], axis=0)
 
 
 def phi_symmetrized(form: QuadraticForm, t: float, r: float, k: int = 1,
@@ -286,7 +369,7 @@ class TrigProfile:
     s: float
     t: np.ndarray
     values: np.ndarray
-    mode: str                 # "factorized" | "direct" | "monte-carlo"
+    mode: str                 # "factorized"
     a_mode: str               # "sup" | "fixed"
     a_desc: str
     form_desc: str = ""
@@ -298,12 +381,12 @@ def _grid_spec(s: float, T: float,
     if not s > 0:
         raise ValueError("s must be > 0")
     t0 = 1.0 / math.sqrt(s)
-    if T < t0:
-        raise ValueError("need T >= s^(-1/2)")
-    if t_res is None:
-        t_res = min(1.0 / (4.0 * s), (T - t0) / DEFAULT_T_NODES)
-    if t_res <= 0:
-        return t0, 0.0, 1, False
+    if not t0 <= T < math.inf:
+        raise ValueError("need s^(-1/2) <= T < inf")
+    if t_res is None:     # any t_res > 0 leaves the one node t0 when T = t0
+        t_res = min(1.0 / (4.0 * s), (T - t0) / DEFAULT_T_NODES) if T > t0 else 1.0
+    elif not (math.isfinite(t_res) and t_res > 0):
+        raise ValueError("t_res must be finite and > 0")
     npts = int(math.floor((T - t0) / t_res)) + 1
     return t0, t_res, npts, t0 + t_res * (npts - 1) < T - 1e-15
 
@@ -316,12 +399,17 @@ def default_t_grid(s: float, T: float, t_res: Optional[float] = None) -> np.ndar
 
 def phi_profile(form: QuadraticForm, a, s: float, T: float,
                 t_res: Optional[float] = None) -> TrigProfile:
-    """Fixed-shift profile of phi_a(t; s) on [s^{-1/2}, T] (diagonal forms)."""
+    """Fixed-shift profile of phi_a(t; s) on [s^{-1/2}, T] (diagonal forms):
+    seeded phasors on the uniform nodes, the tail node T taken directly."""
     qdiag = _diag_entries(form)
     a = shift_array(form, a)
     table = phi_weights(s)
-    ts = default_t_grid(s, T, t_res)
-    vals = phi_factorized_batch(qdiag, a, ts, table)
+    t0, step, npts, tail = _grid_spec(s, T, t_res)
+    ts = t0 + step * np.arange(npts)
+    vals = phi_factorized_grid(qdiag, a, t0, step, npts, table)
+    if tail:
+        ts = np.append(ts, T)
+        vals = np.append(vals, phi_factorized_batch(qdiag, a, [T], table))
     return TrigProfile(s=s, t=ts, values=vals, mode="factorized",
                        a_mode="fixed", a_desc=f"a={a.tolist()}",
                        form_desc=repr(form))
@@ -370,22 +458,14 @@ class _ShiftSup:
         return G[:, 0::2] ** 2 + G[:, 1::2] ** 2
 
     def grid(self, t0: float, step: float, n: int) -> np.ndarray:
-        """Grid sup over alpha at t = t0 + j step, j < n, in blocks of nodes.
-
-        A block starting at t_b uses c_m e^{i q m^2 t_b} times the fixed
-        e^{i q m^2 j step}: one complex product per node and no running
-        recurrence, so rounding does not accumulate across blocks.
-        """
-        block = max(1, min(n, SUP_BLOCK // len(self.cos)))
+        """Grid sup over alpha at t = t0 + j step, j < n, by seeded phasors."""
         out, row = np.ones(n), np.empty(n)
         for qj, k in zip(self.q, self.mult):
-            msq = qj * self.m * self.m
-            steps = np.exp(1j * np.outer(msq, step * np.arange(block)))
-            for start in range(0, n, block):
-                width = min(block, n - start)
-                seed = self.c * np.exp(1j * msq * (t0 + step * start))
-                rows = self._rows_sq(seed[:, None] * steps[:, :width])
-                row[start:start + width] = np.max(rows, axis=0)
+            for start, seed, steps in _seeded_phasors(
+                    qj * self.m * self.m, self.c, t0, step, n,
+                    SUP_BLOCK // len(self.cos)):
+                rows = self._rows_sq(seed[:, None] * steps)
+                row[start:start + steps.shape[1]] = np.max(rows, axis=0)
             out *= np.sqrt(row) ** k
         return out
 
@@ -445,23 +525,14 @@ class GammaResult:
 
 def gamma_estimate(form: QuadraticForm, s: float, T: float,
                    t_res: Optional[float] = None, a_res: int = 96,
-                   top_k: int = TOP_CANDIDATES,
-                   mc_budget: Optional[int] = None,
-                   samples: int = 20000, seed: int = 0) -> GammaResult:
+                   top_k: int = TOP_CANDIDATES) -> GammaResult:
     """gamma(s, T) = sup_a sup_{s^{-1/2} <= t <= T} phi_a(t; s).
 
-    Diagonal forms: grid maximum with golden refinement of t around the top
-    grid candidates; the shift supremum factorizes and is exact up to its own
-    refined 1-d search.  Non-diagonal forms need `mc_budget` and get a coarse
-    heuristic sup over an a-grid in [0, 1)^d (a lower bound on gamma, flagged
-    as such in the profile).
+    Diagonal forms only: grid maximum with golden refinement of t around the
+    top grid candidates; the shift supremum factorizes and is exact up to its
+    own refined 1-d search.
     """
     _check_sup_args(a_res, top_k)
-    if not form.is_diagonal:
-        if mc_budget is None:
-            raise ValueError("non-diagonal form needs mc_budget for the "
-                             "heuristic sup path")
-        return _gamma_heuristic(form, s, T, a_res, mc_budget, samples, seed)
     engine = _ShiftSup.build(form, s, a_res)
     profile = sup_phi_profile(form, s, T, t_res=t_res, a_res=a_res)
     ts, vals = profile.t, profile.values
@@ -483,39 +554,6 @@ def gamma_estimate(form: QuadraticForm, s: float, T: float,
     # lexicographic tie-break on t keeps the reduction deterministic
     return GammaResult(gamma=min(best_v, 1.0), t_star=best_t, a_star=a_star,
                        profile=profile)
-
-
-def _gamma_heuristic(form: QuadraticForm, s: float, T: float, a_res: int,
-                     budget: int, samples: int, seed: int) -> GammaResult:
-    d = form.dim
-    direct_cost = len(phi_weights(s).weights) ** d
-    # coarse grids sized to the budget; each (t, a) cell costs one phi call
-    n_a = max(min(a_res, 8), 2)
-    per_call = min(direct_cost, samples)
-    n_t = max(int(budget // (per_call * n_a ** d)), 8)
-    ts = default_t_grid(s, T, t_res=(T - 1 / math.sqrt(s)) / n_t)
-    a_axes = [np.arange(n_a) / n_a] * d
-    best = (-1.0, ts[0], np.zeros(d))
-    vals = np.zeros(len(ts))
-    for ai in np.ndindex(*([n_a] * d)):
-        a = np.array([a_axes[j][ai[j]] for j in range(d)])
-        for i, t in enumerate(ts):
-            if direct_cost <= samples:
-                v = phi(form, a, float(t), s, mode="direct",
-                        budget=direct_cost)
-            else:
-                v, _ = phi(form, a, float(t), s, mode="mc", samples=samples,
-                           seed=seed)
-            vals[i] = max(vals[i], v)
-            if v > best[0]:
-                best = (v, float(t), a.copy())
-    profile = TrigProfile(s=s, t=ts, values=vals, mode="direct"
-                          if direct_cost <= samples else "monte-carlo",
-                          a_mode="sup",
-                          a_desc=f"heuristic sup: {n_a}^{d} grid on [0,1)^d",
-                          form_desc=repr(form))
-    return GammaResult(gamma=min(best[0], 1.0), t_star=best[1],
-                       a_star=best[2], profile=profile)
 
 
 def mm(t: float, s: float) -> float:
@@ -595,13 +633,12 @@ def check_basic_inequality(form: QuadraticForm, a, s: float,
     # single probes double as pairs at t = 0 (phi(0) = 1)
     max_pairs = max(max_pairs, max_single)
 
-    grid = default_t_grid(s, max(t_range[1], 1.5 / math.sqrt(s)),
-                          t_res=1.0 / (4.0 * s))
-    prof = phi_factorized_batch(qdiag, a, grid, table)
-    peak_idx = np.argsort(prof)[::-1][:4]
+    peaks = phi_profile(form, a, s, max(t_range[1], 1.5 / math.sqrt(s)),
+                        t_res=1.0 / (4.0 * s))
+    peak_idx = np.argsort(peaks.values)[::-1][:4]
     xs = np.geomspace(1.0 / (16.0 * s), 1.0, probe_points)
     for idx in peak_idx:
-        t_star = float(grid[idx])
+        t_star = float(peaks.t[idx])
         shoulders = _pair_ratios(qdiag, a, t_star - xs, 2 * xs, table, q, d, s)
         max_pairs = max(max_pairs, float(np.max(shoulders)))
         onesided = _pair_ratios(qdiag, a, np.full_like(xs, t_star), xs,

@@ -414,8 +414,10 @@ FORM_H2 = "kind: exact\n1\n0\n0\n-2\n"
      "vol E_s underflows to 0 at s = 1e-300"),
     (FORM_I9, ["raw-op", "-p", "op=delta-error", "-p", "s=1e-300"],
      "vol E_s underflows to 0 at s = 1e-300"),
+    ("kind: float\n1.0\n0.2\n0.2\n1.5\n", ["gamma-curve", "-p", "s_grid=9"],
+     "needs a diagonal form: the sum splits per coordinate only then"),
 ], ids=["gamma-s0", "thm51-s0", "volume8-R0", "volume8-Rneg", "volume8-d2",
-        "delta-curve-underflow", "delta-error-underflow"])
+        "delta-curve-underflow", "delta-error-underflow", "gamma-nondiagonal"])
 def test_out_of_range_values_exit_1(tmp_path, capsys, form_text, argv, reason):
     p = tmp_path / "q.form"
     p.write_text(form_text)

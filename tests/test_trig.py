@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflab import trig
 from qflab.errors import BudgetExceededError
@@ -13,7 +14,8 @@ from qflab.trig import (check_basic_inequality, check_lemma64,
                         convolve_weights, default_t_grid, f_sum,
                         gamma_estimate, mm, phi, phi_factorized_batch,
                         phi_profile, phi_symmetrized, phi_symmetrized_batch,
-                        phi_weights, rho_of_s, sup_phi_profile)
+                        phi_symmetrized_grid, phi_weights, rho_of_s,
+                        sup_phi_profile)
 
 R2 = ExactScalar.sqrt(2)
 D2 = diagonal_form([ExactScalar(1), R2])
@@ -247,6 +249,8 @@ def test_symmetrized_sums_reject_bad_r_and_k(r, k, match):
     nondiag = build_form([[1.0, 0.3], [0.3, 2.0]], normalize=False)
     with pytest.raises(ValueError, match=match):
         phi_symmetrized_batch(D2, [0.5, 1.0], r, k)
+    with pytest.raises(ValueError, match=match):
+        phi_symmetrized_grid(D2, 0.5, 0.1, 4, r, k)
     for form in (D2, nondiag):
         with pytest.raises(ValueError, match=match):
             phi_symmetrized(form, 0.5, r, k)
@@ -391,14 +395,132 @@ def test_profile_values_bounded(surd9):
     assert np.all(fixed.values <= prof.values + 1e-6)
 
 
-def test_gamma_nondiagonal_heuristic():
-    mat = np.array([[1.0, 0.2], [0.2, 1.5]])
-    form = build_form(mat, normalize=False)
-    with pytest.raises(ValueError, match="mc_budget"):
+def test_gamma_refuses_nondiagonal_forms():
+    """The shift supremum is computed per coordinate; a non-diagonal form gets
+    a plain reason, not a heuristic lower bound reported as gamma."""
+    form = build_form(np.array([[1.0, 0.2], [0.2, 1.5]]), normalize=False)
+    with pytest.raises(ValueError, match="needs a diagonal form"):
         gamma_estimate(form, 9.0, 2.0)
-    g = gamma_estimate(form, 9.0, 2.0, mc_budget=10 ** 6, a_res=4)
-    assert 0.0 <= g.gamma <= 1.0
-    assert "heuristic" in g.profile.a_desc
-    # the heuristic sup is a lower bound for the diagonal-equivalent at a = 0
-    base = phi(form, [0.0, 0.0], g.t_star, 9.0, mode="direct")
-    assert g.gamma >= base - 1e-12
+
+
+@pytest.mark.parametrize("t_res", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_profiles_refuse_bad_t_res(surd9, t_res):
+    for call in (lambda: phi_profile(surd9, [0] * 9, 100.0, 4.0, t_res=t_res),
+                 lambda: sup_phi_profile(surd9, 100.0, 4.0, t_res=t_res),
+                 lambda: gamma_estimate(surd9, 100.0, 4.0, t_res=t_res),
+                 lambda: default_t_grid(100.0, 4.0, t_res)):
+        with pytest.raises(ValueError, match="t_res must be finite and > 0"):
+            call()
+    for T in (math.inf, math.nan, 0.05):
+        with pytest.raises(ValueError, match=r"need s\^\(-1/2\) <= T < inf"):
+            phi_profile(surd9, [0] * 9, 100.0, T, t_res=t_res)
+
+
+def test_profile_at_t_equal_to_s_minus_half_is_one_node():
+    for t_res in (None, 1e-3):
+        assert default_t_grid(100.0, 0.1, t_res).tolist() == [0.1]
+        prof = phi_profile(D2, [0.25, 0.0], 100.0, 0.1, t_res=t_res)
+        assert prof.t.tolist() == [0.1]
+        assert prof.values[0] == pytest.approx(
+            phi(D2, [0.25, 0.0], 0.1, 100.0), abs=1e-15)
+
+
+def _sym_coefficients_oracle(n, k):
+    """X_v over v >= 0 from every signed (u, l) pair in Fractions, unfolded."""
+    w, d = convolve_weights((n, n)), convolve_weights((n,) * (2 * k))
+    den = w.denominator * d.denominator
+    X = [Fraction(0)] * (4 * k * n * n + 1)
+    for u, wu in zip(w.offsets, w.numerators):
+        for l, dl in zip(d.offsets, d.numerators):
+            X[abs(int(u) * int(l))] += Fraction(int(wu) * int(dl), den)
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sym_coefficients_are_exact(n, k):
+    """Every X_v is the exact sum over u l = +-v rounded once: nonnegative,
+    summing to 1 (phi_sym(0) = 1), and the u = 0 column, where every u l is
+    0, lands on X_0 in full."""
+    exact = _sym_coefficients_oracle(n, k)
+    assert sum(exact) == 1 and min(exact) >= 0
+    X = trig._sym_coefficients(n, k)
+    assert X.tolist() == [float(x) for x in exact]
+    assert math.fsum(X) == pytest.approx(1.0, abs=1e-15)
+    # the expansion is the kernel: sum_v X_v cos(z v) = sum_u w_u g(z u)
+    z = np.array([0.0, 0.3, 1.7, 2.9])
+    cosines = np.cos(np.outer(z, np.arange(len(X)))) @ X
+    assert np.allclose(cosines, trig.symmetrized_transform(np.array([0.5]), z, n, k),
+                       rtol=0, atol=1e-13)
+
+
+# node counts relative to a block of `block` nodes: one and two nodes, fewer
+# than a block, block multiples +- 1
+_EDGES = ("one", "two", "few", "block-1", "block", "block+1", "2block-1", "2block+1")
+
+
+def _edge_nodes(edge, block):
+    return max(1, {"one": 1, "two": 2, "few": max(1, block // 3), "block-1": block - 1,
+                   "block": block, "block+1": block + 1, "2block-1": 2 * block - 1,
+                   "2block+1": 2 * block + 1}[edge])
+
+
+_QS = st.lists(st.sampled_from([1.0, math.sqrt(2), 0.75, math.pi / 2]),
+               min_size=1, max_size=4)
+_SHIFTS = st.sampled_from([0.0, 0.25, math.sqrt(3) - 1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(qs=_QS, data=st.data(), s=st.integers(1, 1600), edge=st.sampled_from(_EDGES),
+       frac=st.floats(0.0, 1.0))
+def test_fixed_shift_grid_matches_the_direct_transform(qs, data, s, edge, frac):
+    """Seeded phasors against factorized_transform, per coordinate factor
+    and for the profile, tail node included, within 1e-11 per factor."""
+    a = np.array([data.draw(_SHIFTS) for _ in qs])
+    table = phi_weights(s)
+    n = _edge_nodes(edge, trig.SUP_BLOCK // len(table.weights))
+    t0 = 1 / math.sqrt(s)
+    T = t0 + frac * (8.0 - t0)
+    step = (T - t0) / max(n - 1, 1)
+    ts = t0 + step * np.arange(n)
+    for qj, aj in zip(qs, a):
+        got = trig.phi_factorized_grid(np.array([qj]), np.array([aj]), t0, step, n,
+                                       table)
+        want = phi_factorized_batch(np.array([qj]), np.array([aj]), ts, table)
+        assert np.max(np.abs(got - want)) <= 1e-11
+    form = build_form(np.diag(qs), normalize=False)
+    if T > t0:
+        prof = phi_profile(form, a, s, T, t_res=(T - t0) / (n - 0.5))
+        assert len(prof.t) == n + 1 and prof.t[-1] == T        # the tail node
+        want = phi_factorized_batch(np.array(qs), a, prof.t, table)
+        assert np.max(np.abs(prof.values - want)) <= 1e-11 * len(qs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(qs=_QS, n=st.integers(1, 40), k=st.integers(1, 3), edge=st.sampled_from(_EDGES),
+       log_step=st.floats(-5.0, 0.0), t0=st.floats(0.0, 4.0))
+def test_symmetrized_grid_matches_the_direct_kernel(qs, n, k, edge, log_step, t0):
+    """The chirp-z grid against the direct Dirichlet kernel per coordinate
+    factor and as a product, within 1e-11 per factor, at every block edge.
+    Coarse grids of a few nodes keep the chirp phase cap honest: there the
+    chirp phase grows with the expansion's length, not with the grid."""
+    X = trig._sym_coefficients(n, k)
+    step = 10.0 ** log_step
+    # the chirp block: the most M with |w| (L + M)^2 / 2 <= CHIRP_PHASE
+    block = max(1, math.isqrt(int(2 * trig.CHIRP_PHASE / (2 * max(qs) * step))) - len(X))
+    nodes = min(_edge_nodes(edge, block), 1 + int(8.0 / step))   # t within [0, 8]
+    t0 = min(t0, 8.0 - step * (nodes - 1))
+    ts = t0 + step * np.arange(nodes)
+    # the direct kernel only at block edges and a spread of nodes between
+    idx = np.unique(np.clip(np.r_[np.arange(3), block + np.arange(-2, 3),
+                                  2 * block + np.arange(-2, 3), nodes - np.arange(1, 3),
+                                  np.linspace(0, nodes - 1, 40).astype(int)],
+                            0, nodes - 1))
+    for qj in set(qs):
+        got = trig._sym_factor_grid(qj, X, t0, step, nodes, n, k)
+        want = trig.symmetrized_transform(np.array([qj]), ts[idx], n, k)
+        assert np.max(np.abs(got[idx] - want)) <= 1e-11
+    form = build_form(np.diag(qs), normalize=False)
+    got = phi_symmetrized_grid(form, t0, step, nodes, n + 0.5, k)
+    want = phi_symmetrized_batch(form, ts[idx], n + 0.5, k)
+    assert np.max(np.abs(got[idx] - want)) <= 1e-11 * len(qs)
