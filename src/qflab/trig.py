@@ -15,8 +15,9 @@ identities carry all the heavy evaluations here.  At arbitrary t:
   its batches, f_sum, F-hat, check_basic_inequality's random pairs and
   probes, and a profile's tail node T.
 * `_ShiftSup` serves the shift supremum (sup_phi_profile, gamma_estimate)
-  over c_m cos(2 pi alpha m) e^{i t q m^2}, m >= 0; its refinement runs as
-  the lanes of golden searches.
+  over c_m cos(2 pi alpha m) e^{i t q m^2}, m >= 0; its refinement scans
+  each lane's alpha-bracket by seeded phasors, then polishes the peaks by
+  Newton steps.
 * `symmetrized_transform`, the direct Dirichlet kernel, serves phi_sym.
 
 On a uniform t-grid t0 + j step, two paths:
@@ -48,8 +49,9 @@ TOP_CANDIDATES = 8
 REFINE_ROUNDS = 3           # golden rounds of gamma_estimate's t-refinement
 TRANSFORM_CHUNK = 2 ** 20   # (t, m) phase entries per chunk of the transform
 SYM_CHUNK = 2 ** 22         # (t, u) kernel entries per chunk of phi_sym
-SUP_BLOCK = 2 ** 15         # (row, t) cells per block of a seeded-phasor grid
+SUP_BLOCK = 2 ** 15         # (row, t) or (alpha, m) cells per block of phasors
 CHIRP_PHASE = 2.0 ** 16     # radians; a phase p rounds by ~1e-16 p
+POLISH_TERMS = 14           # Taylor terms over one scan step: (pi/8)^14/14! < 3e-17
 
 
 @dataclass(frozen=True)
@@ -106,24 +108,36 @@ def _diag_entries(form: QuadraticForm) -> np.ndarray:
     return np.diagonal(form.matrix).copy()
 
 
-def factorized_transform(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
-                         table: WeightTable) -> np.ndarray:
-    """prod_j sum_m w_m e^{i t q_j (m - a_j)^2}, w from `table`, for an array of t.
+def _pair_terms(qdiag: np.ndarray, a: np.ndarray,
+                table: WeightTable) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
+    """(q_j, (m - a_j)^2, weights, multiplicity) per distinct (q_j, a_j).
 
-    Each distinct (q_j, a_j) pair is summed once and raised to its
-    multiplicity; t is processed in chunks of TRANSFORM_CHUNK phase entries.
+    The weights are even about 0 only, so at a_j = 0 they fold over +-m
+    (`WeightTable.folded`, m = 0..half_support); other shifts keep every m.
     """
     pairs, mult = np.unique(np.column_stack([qdiag, np.asarray(a, dtype=float)]),
                             axis=0, return_counts=True)
     m = table.offsets.astype(float)
+    half, folded = m[table.half_support:], table.folded()
+    return [(qj, half * half, folded, k) if aj == 0 else
+            (qj, (m - aj) ** 2, table.weights, k) for (qj, aj), k in zip(pairs, mult)]
+
+
+def factorized_transform(qdiag: np.ndarray, a: np.ndarray, ts: np.ndarray,
+                         table: WeightTable) -> np.ndarray:
+    """prod_j sum_m w_m e^{i t q_j (m - a_j)^2}, w from `table`, for an array of t.
+
+    Each distinct (q_j, a_j) pair is summed once (`_pair_terms`) and raised to
+    its multiplicity; t is processed in chunks of TRANSFORM_CHUNK phase entries.
+    """
+    terms = _pair_terms(qdiag, a, table)
     ts = np.asarray(ts, dtype=float)
     out = np.ones(len(ts), dtype=complex)
-    chunk = max(1, TRANSFORM_CHUNK // len(m))
+    chunk = max(1, TRANSFORM_CHUNK // len(table.weights))
     for start in range(0, len(ts), chunk):
         tt = ts[start:start + chunk]
-        for (qj, aj), k in zip(pairs, mult):
-            z = np.exp(1j * np.outer(tt * qj, (m - aj) ** 2)) @ table.weights
-            out[start:start + chunk] *= z ** k
+        for qj, sq, w, k in terms:
+            out[start:start + chunk] *= (np.exp(1j * np.outer(tt * qj, sq)) @ w) ** k
     return out
 
 
@@ -149,13 +163,10 @@ def phi_factorized_grid(qdiag: np.ndarray, a: np.ndarray, t0: float, step: float
                         n: int, table: WeightTable) -> np.ndarray:
     """phi_factorized_batch at t = t0 + j step, j < n: seeded phasors, one
     matrix product per block and distinct (q_j, a_j)."""
-    pairs, mult = np.unique(np.column_stack([qdiag, np.asarray(a, dtype=float)]),
-                            axis=0, return_counts=True)
-    m = table.offsets.astype(float)
     out, z = np.ones(n), np.empty(n, dtype=complex)
-    for (qj, aj), k in zip(pairs, mult):
-        for start, seed, steps in _seeded_phasors(qj * (m - aj) ** 2, table.weights,
-                                                  t0, step, n, SUP_BLOCK // len(m)):
+    for qj, sq, w, k in _pair_terms(qdiag, a, table):
+        for start, seed, steps in _seeded_phasors(qj * sq, w, t0, step, n,
+                                                  SUP_BLOCK // len(sq)):
             z[start:start + steps.shape[1]] = seed @ steps
         out *= np.abs(z) ** k
     return out
@@ -415,6 +426,43 @@ def phi_profile(form: QuadraticForm, a, s: float, T: float,
                        form_desc=repr(form))
 
 
+def _rows_sq(rows: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """|real row k applied to column j of V|^2; V is complex and C-ordered."""
+    G = rows @ V.view(float)          # real and imaginary parts interleave
+    return G[:, 0::2] ** 2 + G[:, 1::2] ** 2
+
+
+def _cos_rows(V: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Rows (V_m Re P_m, -V_m Im P_m), m = 0..H, of (H + 1, n) arrays: a real
+    row (Re e_m, Im e_m) applied to column j gives sum_m V_mj Re(P_mj e_m)."""
+    Z = np.empty((len(V), 2, V.shape[1]), dtype=complex)
+    Z[:, 0], Z[:, 1] = P.real, -P.imag
+    Z *= V[:, None, :]
+    return Z.reshape(-1, V.shape[1])
+
+
+def _newton_sq(B: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4 Newton steps on |p(u)|^2, p(u) = sum_k B_k u^k per column, from u = 0,
+    clipped to [lo, hi]: (u, |p(u)|) of the best iterate."""
+    k = np.arange(len(B))[:, None]
+    B1, B2 = (k * B)[1:], (k * (k - 1) * B)[2:]
+    u = best_u = np.zeros(B.shape[1])
+    best = np.full(B.shape[1], -np.inf)
+    for it in range(5):
+        U = np.vander(u, len(B), increasing=True).T          # U[k] = u^k
+        p = np.sum(B * U, axis=0)
+        gain = np.abs(p) > best
+        best, best_u = np.where(gain, np.abs(p), best), np.where(gain, u, best_u)
+        if it == 4:
+            return best_u, best
+        p1, p2 = np.sum(B1 * U[:-1], axis=0), np.sum(B2 * U[:-2], axis=0)
+        g1 = (p.conj() * p1).real
+        g2 = np.abs(p1) ** 2 + (p.conj() * p2).real
+        # a step only where |p|^2 is concave: elsewhere Newton heads for a minimum
+        u = np.clip(u - np.divide(g1, g2, out=np.zeros_like(g1), where=g2 < 0), lo, hi)
+
+
 def _check_sup_args(a_res: int, top_k: int = 1) -> None:
     if a_res < 1:
         raise ValueError("a_res must be >= 1")
@@ -431,7 +479,8 @@ class _ShiftSup:
     where c_0 = w_0 and c_m = 2 w_m: the a^2 phase cancels in the modulus and
     the weights are even.  The grid rows alpha = k / a_res and 1 - k / a_res
     coincide, so only k <= a_res / 2 are kept.  Equal diagonal entries are
-    evaluated once and raised to their multiplicity.
+    evaluated once and raised to their multiplicity.  `_refine` takes the sup
+    over alpha between grid rows for many lanes q t at once.
     """
 
     q: np.ndarray         # distinct diagonal entries
@@ -452,19 +501,14 @@ class _ShiftSup:
         return cls(q, mult, coord, a_res, m, c,
                    np.cos(2 * math.pi * np.outer(alphas, m)))
 
-    def _rows_sq(self, V: np.ndarray) -> np.ndarray:
-        """|grid row k applied to column j of V|^2; V is (H + 1, n) complex."""
-        G = self.cos @ V.view(float)          # real and imaginary parts interleave
-        return G[:, 0::2] ** 2 + G[:, 1::2] ** 2
-
     def grid(self, t0: float, step: float, n: int) -> np.ndarray:
         """Grid sup over alpha at t = t0 + j step, j < n, by seeded phasors."""
         out, row = np.ones(n), np.empty(n)
         for qj, k in zip(self.q, self.mult):
             for start, seed, steps in _seeded_phasors(
                     qj * self.m * self.m, self.c, t0, step, n,
-                    SUP_BLOCK // len(self.cos)):
-                rows = self._rows_sq(seed[:, None] * steps)
+                    SUP_BLOCK // max(len(self.cos), len(self.m))):
+                rows = _rows_sq(self.cos, seed[:, None] * steps)
                 row[start:start + steps.shape[1]] = np.max(rows, axis=0)
             out *= np.sqrt(row) ** k
         return out
@@ -472,22 +516,63 @@ class _ShiftSup:
     def _refine(self, qt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Refined sup over alpha for each lane q t: (alpha*, value).
 
-        Each lane's grid maximum seeds a golden search on the two cells
-        around it; all lanes run as one lane-wise search.
+        A(alpha) = sum_m V_m cos(2 pi alpha m) is even and 1-periodic, so the
+        two grid cells around a lane's grid maximum reduce to their part
+        [lo, hi] of [0, 1/2].  Then three steps:
+
+        * scan: |A| at alpha = lo + j delta, delta <= 1/(16 H), by seeded
+          phasors (`_cos_rows`) in blocks of SUP_BLOCK cells;
+        * candidates: every sample that is a local maximum within slack =
+          delta^2 / 8 sum_m (2 pi m)^2 c_m of its lane's best sample, since
+          the sample nearest a peak is within sup |A''| (delta / 2)^2 / 2 of it;
+        * polish: 4 Newton steps on |A|^2 from each candidate, clipped to its
+          neighbours and the bracket, on A's Taylor series there: POLISH_TERMS
+          terms, exact to rounding within one step.  Each lane reports the
+          direct cos sum at its best candidate.
         """
+        x = 2 * math.pi * self.m
         V = self.c[:, None] * np.exp(1j * np.outer(self.m * self.m, qt))
-        best = np.argmax(self._rows_sq(V), axis=0)
-
-        def value(alpha):
-            return np.abs(np.sum(V * np.cos(2 * math.pi * np.outer(self.m, alpha)),
-                                 axis=0))
-
-        return golden_max(value, (best - 1) / self.a_res, (best + 1) / self.a_res,
-                          iters=48)
+        best = np.argmax(_rows_sq(self.cos, V), axis=0)
+        lo = np.maximum(best - 1, 0) / self.a_res
+        hi = np.minimum((best + 1) / self.a_res, 0.5)
+        # delta divides 1 / (2 a_res), so both ends of every bracket are samples
+        delta = 1.0 / (2 * self.a_res * max(1, math.ceil(8 * (len(x) - 1) / self.a_res)))
+        count = np.rint((hi - lo) / delta).astype(int) + 1
+        n, per_block = int(count.max()), max(1, SUP_BLOCK // len(x))
+        block = min(n, per_block)
+        seed = np.exp(1j * np.outer(x, lo))                     # per lane
+        starts = np.exp(1j * np.outer(x, delta * np.arange(0, n, block)))
+        steps = np.exp(1j * np.outer(delta * np.arange(block), x))
+        amp = np.empty((len(qt), n))
+        for b, start in enumerate(range(0, n, block)):
+            sq = _rows_sq(steps[:n - start].view(float),
+                          _cos_rows(V, seed * starts[:, b:b + 1]))
+            amp[:, start:start + block] = np.sqrt(sq).T
+        amp[np.arange(n) >= count[:, None]] = -np.inf
+        slack = delta ** 2 / 8 * np.sum(x * x * self.c)
+        side = np.pad(amp, ((0, 0), (1, 1)), constant_values=-np.inf)
+        lane, j = np.nonzero((amp >= side[:, :-2]) & (amp >= side[:, 2:])
+                             & (amp >= amp.max(axis=1, keepdims=True) - slack))
+        # Taylor rows (i x_m delta)^k / k!, in the layout of a step row
+        k = np.arange(POLISH_TERMS)
+        taylor = (1j * delta * x) ** k[:, None] / np.array(
+            [math.factorial(i) for i in k], dtype=float)[:, None]
+        B = np.empty((POLISH_TERMS, len(j)), dtype=complex)
+        for c in range(0, len(j), per_block):
+            cut = slice(c, c + per_block)
+            P = seed[:, lane[cut]] * starts[:, j[cut] // block] * steps[j[cut] % block].T
+            B[:, cut] = (taylor.view(float) @ _cos_rows(V[:, lane[cut]], P).view(float)
+                         ).view(complex)
+        u, value = _newton_sq(B, np.where(j > 0, -1.0, 0.0),
+                              np.where(j < count[lane] - 1, 1.0, 0.0))
+        order = np.lexsort((-value, lane))         # each lane's best first
+        first = order[np.searchsorted(lane[order], np.arange(len(qt)))]
+        alpha = lo + (j[first] + u[first]) * delta
+        return alpha, np.abs(np.sum(V * np.cos(np.outer(x, alpha)), axis=0))
 
     def refined(self, t: np.ndarray) -> np.ndarray:
         """Refined sup_a phi_a(t; s) for each lane t; the per-coordinate
-        searches of all lanes run as the lanes of one search."""
+        refinements of all lanes run as the lanes of one `_refine`."""
         factors = self._refine(np.outer(self.q, t).ravel())[1].reshape(len(self.q), -1)
         return np.prod(factors ** self.mult[:, None], axis=0)
 
@@ -529,8 +614,9 @@ def gamma_estimate(form: QuadraticForm, s: float, T: float,
     """gamma(s, T) = sup_a sup_{s^{-1/2} <= t <= T} phi_a(t; s).
 
     Diagonal forms only: grid maximum with golden refinement of t around the
-    top grid candidates; the shift supremum factorizes and is exact up to its
-    own refined 1-d search.
+    top grid candidates.  The shift supremum factorizes per coordinate; at
+    each t, `_ShiftSup._refine` takes it over alpha by a phasor scan of the
+    bracket and Newton steps, exact up to that 1-d search.
     """
     _check_sup_args(a_res, top_k)
     engine = _ShiftSup.build(form, s, a_res)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from qflab.errors import BudgetExceededError
 from qflab.forms import build_form, diagonal_form
 from qflab.scalars import ExactScalar
 from qflab.smoothing import build_scheme, fhat_mu
+from qflab.util import golden_max
 from qflab.trig import (check_basic_inequality, check_lemma64,
                         convolve_weights, default_t_grid, f_sum,
                         gamma_estimate, mm, phi, phi_factorized_batch,
@@ -336,6 +338,36 @@ def test_gamma_matches_pinned_values(surd9, name, s, gamma, t_star):
         g.gamma, rel=1e-9, abs=0)
 
 
+# gamma(s, T) and t* of surd9 on small inputs; the last has one grid node,
+# so the golden t-bracket around it has zero width
+GAMMA_SURD9 = [
+    (16.0, 1.0, 0.0005152038838648337, 0.9090296554565981),
+    (9.0, 4.0, 0.004148710266920061, 3.022967180957494),
+    (16.0, 0.25, 8.835776541604257e-05, 0.25),
+]
+
+
+@pytest.mark.parametrize("s,T,gamma,t_star", GAMMA_SURD9)
+def test_gamma_pinned_on_surd9(surd9, s, T, gamma, t_star):
+    g = gamma_estimate(surd9, s, T)
+    assert g.gamma == pytest.approx(gamma, rel=1e-9, abs=0)
+    assert g.t_star == pytest.approx(t_star, rel=math.sqrt(1e-9), abs=0)
+
+
+def test_gamma_memory_stays_blocked(surd9):
+    """At a_res = 1 and s = 10^4 each refinement call scans 2401 alpha
+    samples of 301 terms and polishes up to ~3700 candidates: unblocked, its
+    step table would take 12 MB and its candidate rows 35 MB, and one
+    32768-node phasor block of the grid 158 MB."""
+    tracemalloc.start()
+    try:
+        gamma_estimate(surd9, 1e4, 4.0, a_res=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
 def test_mm_branches():
     s = 100.0
     assert mm(1 / math.sqrt(s), s) == pytest.approx(1 / math.sqrt(s))
@@ -524,3 +556,38 @@ def test_symmetrized_grid_matches_the_direct_kernel(qs, n, k, edge, log_step, t0
     got = phi_symmetrized_grid(form, t0, step, nodes, n + 0.5, k)
     want = phi_symmetrized_batch(form, ts[idx], n + 0.5, k)
     assert np.max(np.abs(got[idx] - want)) <= 1e-11 * len(qs)
+
+
+def _refine_oracle(engine, qt):
+    """Dense oracle for `_ShiftSup._refine`: each lane's bracket
+    [(best - 1) / a_res, (best + 1) / a_res] around its grid maximum scanned at
+    4097 points, then a golden search over one spacing on either side of the
+    best point."""
+    V = engine.c[:, None] * np.exp(1j * np.outer(engine.m ** 2, qt))
+    best = np.argmax(np.abs(engine.cos @ V), axis=0)
+    lo, hi = (best - 1) / engine.a_res, (best + 1) / engine.a_res
+
+    def value(alpha):
+        return np.abs(np.sum(V * np.cos(2 * math.pi * np.outer(engine.m, alpha)),
+                             axis=0))
+
+    dense = lo + (hi - lo) * np.linspace(0.0, 1.0, 4097)[:, None]
+    vals = np.array([value(row) for row in dense])
+    top = dense[np.argmax(vals, axis=0), np.arange(len(qt))]
+    h = (hi - lo) / 4096
+    _, polished = golden_max(value, np.maximum(top - h, lo), np.minimum(top + h, hi))
+    return np.maximum(vals.max(axis=0), polished)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(qs=_QS, s=st.sampled_from([9, 16, 100, 400, 1600]),
+       a_res=st.sampled_from([1, 2, 3, 7, 96]), t=st.floats(0.02, 8.0))
+def test_refined_shift_sup_reaches_a_dense_oracle(qs, s, a_res, t):
+    """The scan-and-Newton refinement is never below the dense oracle by more
+    than 1e-12 relative, and phi at the reported shift is the refined value."""
+    form = build_form(np.diag(qs), normalize=False)
+    engine = trig._ShiftSup.build(form, float(s), a_res)
+    _, got = engine._refine(engine.q * t)
+    assert np.all(got >= _refine_oracle(engine, engine.q * t) * (1 - 1e-12))
+    assert phi(form, engine.shift(t), t, s, mode="factorized") == pytest.approx(
+        engine.refined(np.array([t]))[0], rel=1e-12, abs=0)
